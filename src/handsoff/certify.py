@@ -35,14 +35,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .control_law import AdjointParams
-from .linalg import mat_exp, mat_exp_stack
+from .control_law import AdjointParams, adjoint_on_grid, hamiltonian_values
+from .linalg import mat_exp
 from .model import Ball, Box, PiecewiseConstantControl, Problem, Trajectory
 from .sim import (
     NonlinearDynamics,
     breakpoint_mask,
     endpoint_residual,
-    hamiltonian_profile,
     propagate_exact,
     propagate_rk4,
 )
@@ -183,10 +182,8 @@ def check_hamiltonian_max(
     states = traj.states[keep]
     controls = traj.controls[keep]
     if dynamics is None:
-        costates = _costates_at(prob, ap, grid)
-        vel = states @ prob.F.T + controls @ prob.G.T
-        bonus = ap.eta * np.all(np.abs(controls) <= zero_tol, axis=1)
-        achieved = np.einsum("ij,ij->i", costates, vel) + bonus
+        costates = adjoint_on_grid(prob, ap, grid)
+        achieved = hamiltonian_values(prob, ap.eta, costates, states, controls, zero_tol=zero_tol)
         drift = np.einsum("ij,ij->i", costates, states @ prob.F.T)
         switching = costates @ prob.G
         sup = drift + np.maximum(_sup_linear(prob.U, switching), float(ap.eta))
@@ -198,23 +195,16 @@ def check_hamiltonian_max(
     if grid.size > 301:  # callback dynamics: thin the sample set
         pick = np.unique(np.linspace(0, grid.size - 1, 301).astype(int))
         grid, states, controls, costates = grid[pick], states[pick], controls[pick], costates[pick]
+    vel = np.stack([np.asarray(dynamics.phi(z, v), dtype=float) for z, v in zip(states, controls)])
+    achieved = hamiltonian_values(prob, ap.eta, costates, states, controls, vel, zero_tol)
     inputs = _input_grid(prob.U, prob.m, grid_n)
     zero_row = np.all(inputs == 0.0, axis=1)
     shortfall = 0.0
     for i in range(grid.size):
-        p, z, v = costates[i], states[i], controls[i]
-        achieved = float(p @ np.asarray(dynamics.phi(z, v), dtype=float))
-        if np.all(np.abs(v) <= zero_tol):
-            achieved += ap.eta
+        p, z = costates[i], states[i]
         values = np.array([p @ np.asarray(dynamics.phi(z, vv), dtype=float) for vv in inputs])
-        values = values + ap.eta * zero_row
-        shortfall = max(shortfall, float(values.max() - achieved))
+        shortfall = max(shortfall, float((values + ap.eta * zero_row).max() - achieved[i]))
     return shortfall
-
-
-def _costates_at(prob: Problem, ap: AdjointParams, grid: np.ndarray) -> np.ndarray:
-    stack = prob.F.T[None, :, :] * (prob.b - grid)[:, None, None]
-    return mat_exp_stack(stack) @ ap.p_hat
 
 
 def check_constancy(values: np.ndarray, mask: np.ndarray | None = None) -> float:
@@ -276,9 +266,8 @@ def certify(
 
     if dynamics is None:
         adjoint_res = check_adjoint(prob, ap)
-        costates = _costates_at(prob, ap, traj.grid)
-        profile = hamiltonian_profile(prob, ap, traj, control, zero_tol=zero_tol)
-        constancy = check_constancy(profile.values, profile.off_breakpoint)
+        costates = adjoint_on_grid(prob, ap, traj.grid)
+        vel = None
         affine = True
     else:
         adjoint_res = check_adjoint(prob, ap, traj=traj, dynamics=dynamics)
@@ -286,10 +275,9 @@ def certify(
         vel = np.stack(
             [np.asarray(dynamics.phi(z, u), float) for z, u in zip(traj.states, traj.controls)]
         )
-        bonus = ap.eta * np.all(np.abs(traj.controls) <= zero_tol, axis=1)
-        values = np.einsum("ij,ij->i", costates, vel) + bonus
-        constancy = check_constancy(values, breakpoint_mask(traj.grid, control))
         affine = dynamics.affine_in_state
+    values = hamiltonian_values(prob, ap.eta, costates, traj.states, traj.controls, vel, zero_tol)
+    constancy = check_constancy(values, breakpoint_mask(traj.grid, control))
     hmax = check_hamiltonian_max(prob, ap, traj, control, dynamics=dynamics, zero_tol=zero_tol)
 
     # The costate of a nontrivial terminal vector never vanishes for LTI

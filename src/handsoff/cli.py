@@ -158,9 +158,8 @@ def _solve_l0_artifacts(prob, result, out: Path, stem: str, zero_tol: float, plo
         "locally_optimal": result.locally_optimal,
     }
     (out / f"{stem}_l0_solution.json").write_text(json.dumps(sidecar, indent=2) + "\n")
-    if result.certificate is not None:
-        report = certify(prob, result.certificate.eta, result.certificate.p_hat, result.control)
-        (out / f"{stem}_l0_certificate.json").write_text(report.to_json() + "\n")
+    if result.report is not None:
+        (out / f"{stem}_l0_certificate.json").write_text(result.report.to_json() + "\n")
     if plot:
         _render_solution_svg(prob, result, traj, out / f"{stem}_l0.svg")
     return traj

@@ -68,8 +68,23 @@ def adjoint_on_grid(prob: Problem, ap: AdjointParams, grid: np.ndarray) -> np.nd
     Each sample is an independent exponential, so accuracy does not depend
     on grid ordering or spacing.
     """
-    grid = np.asarray(grid, dtype=float)
-    return np.stack([mat_exp(prob.F.T, prob.b - t) @ ap.p_hat for t in grid])
+    return mat_exp(prob.F.T, prob.b - np.asarray(grid, dtype=float)) @ ap.p_hat
+
+
+def hamiltonian_values(
+    prob: Problem,
+    eta: int,
+    costates: np.ndarray,
+    states: np.ndarray,
+    controls: np.ndarray,
+    velocities: np.ndarray | None = None,
+    zero_tol: float = 1e-9,
+) -> np.ndarray:
+    """<p_i, phi(z_i, u_i)> + eta * [u_i == 0] per sample; phi defaults to F z + G u."""
+    if velocities is None:
+        velocities = states @ prob.F.T + controls @ prob.G.T
+    bonus = eta * np.all(np.abs(controls) <= zero_tol, axis=1)
+    return np.einsum("ij,ij->i", costates, velocities) + bonus
 
 
 def switching_function(prob: Problem, ap: AdjointParams, t: float) -> np.ndarray:
@@ -97,10 +112,9 @@ def pointwise_hamiltonian(
     if not prob.U.contains(v):
         raise ValueError(f"input {v} outside the admissible set")
     z = np.atleast_1d(np.asarray(z, dtype=float))
+    vel = None if phi is None else np.asarray(phi(z, v), dtype=float)[None]
     p = adjoint_at(prob, ap, t)
-    vel = prob.F @ z + prob.G @ v if phi is None else np.asarray(phi(z, v), dtype=float)
-    bonus = ap.eta if np.all(np.abs(v) <= zero_tol) else 0.0
-    return float(p @ vel + bonus)
+    return float(hamiltonian_values(prob, ap.eta, p[None], z[None], v[None], vel, zero_tol)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """Small dense linear algebra kernels.
 
 Everything here operates on desk-scale matrices (state dimensions of a
-few to ~20): the matrix exponential by scaling-and-squaring, exact
-zero-order-hold discretization of ``zdot = F z + G u`` via the augmented
-block exponential, and a partial-pivoting linear solve that signals
-numerical singularity instead of returning garbage.
+few to ~20). Every matrix exponential in the library is exp(M t) for one
+M at many t, computed by one kernel, :class:`ExpKernel`; exact
+zero-order-hold discretization of ``zdot = F z + G u`` is that kernel on
+the augmented block matrix of :func:`zoh_block`. A partial-pivoting
+linear solve signals numerical singularity instead of returning garbage.
 """
 
 from __future__ import annotations
@@ -19,62 +20,74 @@ class SingularMatrixError(ValueError):
 #: Partial-pivoting threshold below which a matrix is declared singular.
 PIVOT_TOL = 1e-12
 
+#: Taylor terms of :class:`ExpKernel`; at 1-norm <= 0.5 the rest is < 1e-31.
+EXP_TERMS = 24
+
 _TAYLOR_CAP = 40
 
 
-def mat_exp(m: np.ndarray, t: float = 1.0) -> np.ndarray:
-    """Compute exp(m*t) for a square matrix.
+def _squarings(norms: np.ndarray) -> np.ndarray:
+    """Halvings that bring each 1-norm down to at most 0.5."""
+    return np.ceil(np.log2(np.maximum(norms, 0.5) / 0.5)).astype(int)
 
-    Scaling-and-squaring with a machine-terminated Taylor series: the
-    argument is halved until its 1-norm is below 0.5, the series is summed
-    until terms stop contributing, and the result is squared back up.
-    Accurate to ~1e-12 relative for ||m*t|| up to 1e3.
 
-    Parameters
-    ----------
-    m : (n, n) array_like
-    t : float, optional
-        Scalar factor applied to ``m`` before exponentiation.
+def _square_up(e: np.ndarray, squarings: np.ndarray) -> np.ndarray:
+    """Square each stacked exponential of the scaled argument back up."""
+    for j in range(int(squarings.max()) if squarings.size else 0):
+        moving = squarings > j
+        e[moving] = e[moving] @ e[moving]
+    return e
 
-    Returns
-    -------
-    (n, n) ndarray
+
+class ExpKernel:
+    """exp(M t) for one square matrix M at a scalar or a 1-D array of t.
+
+    Built once from the Taylor powers M^k / k! (k < :data:`EXP_TERMS`).
+    Each sample t is halved until |t| ||M||_1 <= 0.5, summed as one
+    product of t-powers against the stored powers, and squared back up,
+    independently of the other samples. Accurate to ~1e-12 relative for
+    ||M t|| up to 1e3; t = 0 gives exactly I.
     """
-    a = np.asarray(m, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"mat_exp requires a square matrix, got shape {a.shape}")
-    a = a * float(t)
-    norm = np.linalg.norm(a, 1)
-    squarings = 0
-    if norm > 0.5:
-        squarings = int(np.ceil(np.log2(norm / 0.5)))
-        a = a / (2.0**squarings)
-    n = a.shape[0]
-    result = np.eye(n)
-    term = np.eye(n)
-    for k in range(1, _TAYLOR_CAP):
-        term = term @ a / k
-        result = result + term
-        if np.abs(term).max() <= 1e-18 * max(1.0, np.abs(result).max()):
-            break
-    for _ in range(squarings):
-        result = result @ result
-    return result
+
+    def __init__(self, m: np.ndarray):
+        a = np.asarray(m, dtype=float)
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise ValueError(f"matrix exponential needs a square matrix, got shape {a.shape}")
+        self.norm = float(np.abs(a).sum(axis=0).max())
+        powers = [np.eye(a.shape[0])]
+        for k in range(1, EXP_TERMS):
+            powers.append(powers[-1] @ a / k)
+        self.powers = np.stack(powers)
+
+    def __call__(self, t: float | np.ndarray) -> np.ndarray:
+        """(n, n) for a scalar t, (len(t), n, n) for a 1-D array."""
+        ts = np.asarray(t, dtype=float)
+        if ts.ndim > 1:
+            raise ValueError(f"t must be a scalar or a 1-D array, got shape {ts.shape}")
+        flat = np.atleast_1d(ts)
+        squarings = _squarings(self.norm * np.abs(flat))
+        tt = flat / 2.0**squarings
+        tp = tt[:, None] ** np.arange(self.powers.shape[0])[None, :]
+        e = _square_up(np.einsum("pt,tij->pij", tp, self.powers), squarings)
+        return e if ts.ndim else e[0]
+
+
+def mat_exp(m: np.ndarray, t: float | np.ndarray = 1.0) -> np.ndarray:
+    """exp(m*t) of a square matrix: (n, n) for a scalar t, (len(t), n, n)
+    for a 1-D array. One :class:`ExpKernel` built and called once."""
+    return ExpKernel(m)(t)
 
 
 def mat_exp_stack(ms: np.ndarray) -> np.ndarray:
-    """exp() of a stack of square matrices, shape (batch, n, n).
+    """exp() of a stack of distinct square matrices, shape (batch, n, n).
 
-    Same scaling-and-squaring scheme as :func:`mat_exp`, vectorized over
-    the leading axis; each matrix gets its own squaring count.
+    Machine-terminated Taylor series vectorized over the leading axis,
+    with the same per-matrix scaling and squaring as :class:`ExpKernel`.
     """
     a = np.array(ms, dtype=float)
     if a.ndim != 3 or a.shape[1] != a.shape[2]:
         raise ValueError(f"mat_exp_stack requires shape (batch, n, n), got {a.shape}")
-    norms = np.abs(a).sum(axis=1).max(axis=1)
-    squarings = np.zeros(a.shape[0], dtype=int)
-    big = norms > 0.5
-    squarings[big] = np.ceil(np.log2(norms[big] / 0.5)).astype(int)
+    squarings = _squarings(np.abs(a).sum(axis=1).max(axis=1))
     a = a / (2.0 ** squarings)[:, None, None]
 
     n = a.shape[1]
@@ -85,19 +98,14 @@ def mat_exp_stack(ms: np.ndarray) -> np.ndarray:
         result = result + term
         if np.abs(term).max() <= 1e-18:
             break
-    for j in range(int(squarings.max()) if squarings.size else 0):
-        moving = squarings > j
-        result[moving] = result[moving] @ result[moving]
-    return result
+    return _square_up(result, squarings)
 
 
-def discretize_zoh(f: np.ndarray, g: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """Exact zero-order-hold discretization of ``zdot = F z + G u``.
+def zoh_block(f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Augmented block matrix ``[[F, G], [0, 0]]`` of ``zdot = F z + G u``.
 
-    Returns ``(a_d, b_d)`` with ``a_d = exp(F dt)`` and
-    ``b_d = int_0^dt exp(F s) ds @ G``, both obtained from one exponential
-    of the augmented block matrix ``[[F, G], [0, 0]]`` so b_d inherits the
-    exponential's accuracy.
+    Its exponential at t holds ``exp(F t)`` top left and
+    ``int_0^t exp(F s) ds @ G`` top right (Van Loan 1978).
     """
     f = np.asarray(f, dtype=float)
     g = np.asarray(g, dtype=float)
@@ -108,35 +116,22 @@ def discretize_zoh(f: np.ndarray, g: np.ndarray, dt: float) -> tuple[np.ndarray,
         raise ValueError(f"F must be square, got shape {f.shape}")
     if g.shape[0] != d:
         raise ValueError(f"G has {g.shape[0]} rows, expected {d}")
-    if not dt > 0:
-        raise ValueError(f"step must be positive, got {dt}")
-    m = g.shape[1]
-    aug = np.zeros((d + m, d + m))
-    aug[:d, :d] = f
-    aug[:d, d:] = g
-    e = mat_exp(aug, dt)
-    return e[:d, :d], e[:d, d:]
+    return np.block([[f, g], [np.zeros((g.shape[1], d + g.shape[1]))]])
 
 
-def discretize_zoh_stack(
-    f: np.ndarray, g: np.ndarray, dts: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized :func:`discretize_zoh` over a 1-D array of step lengths.
+def discretize_zoh(f: np.ndarray, g: np.ndarray, dt: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact zero-order-hold discretization of ``zdot = F z + G u``.
 
-    Returns stacked ``(a_d, b_d)`` of shapes (batch, d, d) and (batch, d, m).
+    Returns ``(a_d, b_d)`` with ``a_d = exp(F dt)`` and
+    ``b_d = int_0^dt exp(F s) ds @ G``, both read off one exponential of
+    :func:`zoh_block`. A 1-D array of steps gives stacked pairs.
     """
-    f = np.asarray(f, dtype=float)
-    g = np.asarray(g, dtype=float)
-    if g.ndim == 1:
-        g = g[:, None]
-    dts = np.asarray(dts, dtype=float)
-    d, m = g.shape
-    aug = np.zeros((d + m, d + m))
-    aug[:d, :d] = f
-    aug[:d, d:] = g
-    stack = aug[None, :, :] * dts[:, None, None]
-    e = mat_exp_stack(stack)
-    return e[:, :d, :d], e[:, :d, d:]
+    aug = zoh_block(f, g)
+    if not np.all(np.asarray(dt) > 0):
+        raise ValueError(f"step must be positive, got {dt}")
+    d = np.shape(f)[0]
+    e = mat_exp(aug, dt)
+    return e[..., :d, :d], e[..., :d, d:]
 
 
 def solve_linear(m: np.ndarray, rhs: np.ndarray) -> np.ndarray:

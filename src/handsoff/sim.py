@@ -1,8 +1,9 @@
 """Trajectory propagation and along-trajectory Hamiltonian evaluation.
 
-LTI plants are propagated exactly: within each constant-control segment
-the state advances through the zero-order-hold transition pair, so the
-only error is the matrix exponential's. General dynamics go through a
+LTI plants are propagated exactly: each grid state is evaluated from the
+state at its control segment's start through the zero-order-hold pair of
+its offset (one exponential-kernel call for all offsets), so the only
+error is the matrix exponential's. General dynamics go through a
 classical fixed-step fourth-order Runge-Kutta integrator whose step grid
 is aligned with the control breakpoints (a segment never straddles a
 control discontinuity). Fixed-step keeps regression numbers reproducible;
@@ -17,8 +18,8 @@ from typing import Callable
 
 import numpy as np
 
-from .control_law import AdjointParams
-from .linalg import discretize_zoh, mat_exp_stack
+from .control_law import AdjointParams, adjoint_on_grid, hamiltonian_values
+from .linalg import mat_exp, zoh_block
 from .model import PiecewiseConstantControl, Problem, Trajectory
 
 #: Grid samples used by default when propagating for plots/certificates.
@@ -92,12 +93,6 @@ def linear_dynamics(prob: Problem) -> NonlinearDynamics:
     )
 
 
-def _grid_with_breakpoints(a: float, b: float, breakpoints: np.ndarray, samples: int) -> np.ndarray:
-    base = np.linspace(a, b, samples)
-    grid = np.unique(np.concatenate([base, breakpoints]))
-    return grid
-
-
 def propagate_exact(
     prob: Problem, u: PiecewiseConstantControl, samples: int = DEFAULT_GRID
 ) -> Trajectory:
@@ -106,22 +101,22 @@ def propagate_exact(
     The output grid is a uniform refinement of the horizon with every
     control breakpoint inserted; states at grid points are exact up to
     matrix-exponential accuracy. Grid controls use the right-limit value.
+    Each grid state is reached from the start of its control segment.
     """
     prob.validate_control(u)
-    grid = _grid_with_breakpoints(prob.a, prob.b, u.breakpoints, samples)
-    states = np.empty((grid.size, prob.d))
+    grid = np.unique(np.concatenate([np.linspace(prob.a, prob.b, samples), u.breakpoints]))
+    d, n_seg = prob.d, u.values.shape[0]
+    # Grid point i > 0 lies in the segment in effect at grid[i - 1]; segment
+    # k owns steps starts[k]:ends[k] and starts from grid point starts[k].
+    seg = np.clip(np.searchsorted(u.breakpoints, grid[:-1], side="right") - 1, 0, n_seg - 1)
+    ends = np.searchsorted(seg, np.arange(n_seg), side="right")
+    starts = np.concatenate([[0], ends[:-1]])
+    e = mat_exp(zoh_block(prob.F, prob.G), grid[1:] - grid[starts[seg]])
+    drive = np.einsum("nij,nj->ni", e[:, :d, d:], u.values[seg])
+    states = np.empty((grid.size, d))
     states[0] = prob.A
-    cache: dict[float, tuple[np.ndarray, np.ndarray]] = {}
-    z = prob.A.copy()
-    for i in range(1, grid.size):
-        dt = float(grid[i] - grid[i - 1])
-        pair = cache.get(dt)
-        if pair is None:
-            pair = discretize_zoh(prob.F, prob.G, dt)
-            cache[dt] = pair
-        a_d, b_d = pair
-        z = a_d @ z + b_d @ u.value_at(grid[i - 1])
-        states[i] = z
+    for lo, hi in zip(starts, ends):
+        states[lo + 1 : hi + 1] = e[lo:hi, :d, :d] @ states[lo] + drive[lo:hi]
     return Trajectory(grid=grid, states=states, controls=u.sample(grid))
 
 
@@ -210,17 +205,9 @@ def hamiltonian_profile(
     Uses the analytic LTI costate. Along a genuine extremal the profile is
     constant off switching instants.
     """
-    grid = traj.grid
-    costates = _costates_on_grid(prob, ap, grid)
-    vel = traj.states @ prob.F.T + traj.controls @ prob.G.T
-    bonus = ap.eta * np.all(np.abs(traj.controls) <= zero_tol, axis=1)
-    values = np.einsum("ij,ij->i", costates, vel) + bonus
-    return HamiltonianProfile(values=values, off_breakpoint=breakpoint_mask(grid, u, window))
-
-
-def _costates_on_grid(prob: Problem, ap: AdjointParams, grid: np.ndarray) -> np.ndarray:
-    stack = prob.F.T[None, :, :] * (prob.b - grid)[:, None, None]
-    return mat_exp_stack(stack) @ ap.p_hat
+    costates = adjoint_on_grid(prob, ap, traj.grid)
+    values = hamiltonian_values(prob, ap.eta, costates, traj.states, traj.controls, zero_tol=zero_tol)
+    return HamiltonianProfile(values=values, off_breakpoint=breakpoint_mask(traj.grid, u, window))
 
 
 def save_trajectory(
@@ -239,11 +226,9 @@ def save_trajectory(
     if ap is not None:
         if prob is None:
             raise ValueError("writing switching columns requires the problem")
-        costates = _costates_on_grid(prob, ap, traj.grid)
+        costates = adjoint_on_grid(prob, ap, traj.grid)
         switching = costates @ prob.G
-        vel = traj.states @ prob.F.T + traj.controls @ prob.G.T
-        bonus = ap.eta * np.all(np.abs(traj.controls) <= zero_tol, axis=1)
-        ham = np.einsum("ij,ij->i", costates, vel) + bonus
+        ham = hamiltonian_values(prob, ap.eta, costates, traj.states, traj.controls, zero_tol=zero_tol)
         header += [f"s_{i + 1}" for i in range(m)] + ["H"]
         columns += [switching, ham[:, None]]
     table = np.column_stack([np.atleast_2d(c.T).T if c.ndim == 1 else c for c in columns])

@@ -28,9 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lp
-from .certify import certify as _certify
+from .certify import CertificateReport, certify as _certify
 from .control_law import TIE_TOL, AdjointParams
-from .linalg import mat_exp, mat_exp_stack
+from .linalg import ExpKernel, zoh_block
 from .model import Ball, Box, PiecewiseConstantControl, Problem, l0_cost
 from .sim import breakpoint_mask, endpoint_residual, propagate_exact
 
@@ -99,13 +99,22 @@ class TrialRecord:
 
 @dataclass(frozen=True)
 class SynthResult:
+    """Winning control, recovered multiplier and its certificate report."""
+
     control: PiecewiseConstantControl
     support: float
     certificate: AdjointParams | None
-    certified: bool
-    locally_optimal: bool
+    report: CertificateReport | None
     residual: float
     trials: tuple[TrialRecord, ...]
+
+    @property
+    def certified(self) -> bool:
+        return self.report is not None and self.report.passed
+
+    @property
+    def locally_optimal(self) -> bool:
+        return self.report is not None and self.report.locally_optimal
 
 
 def enumerate_structures(m: int, u_set: Box | Ball, k_max: int) -> list[Structure]:
@@ -144,54 +153,18 @@ def enumerate_structures(m: int, u_set: Box | Ball, k_max: int) -> list[Structur
 # ---------------------------------------------------------------------------
 
 
-class _ZohSeries:
-    """Taylor powers of the augmented block matrix [[F, G], [0, 0]],
-    evaluated in batch at arbitrary step lengths with per-sample scaling
-    and squaring. Matches :func:`handsoff.linalg.discretize_zoh` at
-    matrix-exponential accuracy, for thousands of step lengths per call.
-    """
-
-    def __init__(self, prob: Problem, terms: int = 24):
-        d, m = prob.d, prob.m
-        aug = np.zeros((d + m, d + m))
-        aug[:d, :d] = prob.F
-        aug[:d, d:] = prob.G
-        self.d, self.m = d, m
-        self.norm = float(np.abs(aug).sum(axis=0).max())
-        powers = [np.eye(d + m)]
-        for k in range(1, terms):
-            powers.append(powers[-1] @ aug / k)
-        self.powers = np.stack(powers)
-
-    def pairs(self, dts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        dts = np.asarray(dts, dtype=float)
-        scaled_norm = self.norm * dts
-        squarings = np.zeros(dts.shape, dtype=int)
-        big = scaled_norm > 0.5
-        squarings[big] = np.ceil(np.log2(scaled_norm[big] / 0.5)).astype(int)
-        tt = dts / 2.0**squarings
-        tp = tt[:, None] ** np.arange(self.powers.shape[0])[None, :]
-        e = np.einsum("pt,tij->pij", tp, self.powers)
-        for j in range(int(squarings.max()) if squarings.size else 0):
-            moving = squarings > j
-            e[moving] = e[moving] @ e[moving]
-        return e[:, : self.d, : self.d], e[:, : self.d, self.d :]
-
-    def endpoints(self, z0: np.ndarray, values: np.ndarray, durations: np.ndarray) -> np.ndarray:
-        """Final states for a batch of candidates.
-
-        values: (batch, segments, m) inputs; durations: (batch, segments).
-        """
-        batch, segs = durations.shape
-        a_d, b_d = self.pairs(durations.reshape(-1))
-        a_d = a_d.reshape(batch, segs, self.d, self.d)
-        b_d = b_d.reshape(batch, segs, self.d, self.m)
-        z = np.broadcast_to(z0, (batch, self.d)).copy()
-        for k in range(segs):
-            z = np.einsum("pij,pj->pi", a_d[:, k], z) + np.einsum(
-                "pij,pj->pi", b_d[:, k], values[:, k]
-            )
-        return z
+def _endpoints(zoh: ExpKernel, z0: np.ndarray, values: np.ndarray, durations: np.ndarray) -> np.ndarray:
+    """Final states for a batch of candidates: values (batch, segments, m),
+    durations (batch, segments), ``zoh`` the kernel of the ZOH block."""
+    batch, segs, m = values.shape
+    d = z0.size
+    e = zoh(durations.reshape(-1))
+    a_d = e[:, :d, :d].reshape(batch, segs, d, d)
+    b_d = e[:, :d, d:].reshape(batch, segs, d, m)
+    z = np.broadcast_to(z0, (batch, d)).copy()
+    for k in range(segs):
+        z = np.einsum("pij,pj->pi", a_d[:, k], z) + np.einsum("pij,pj->pi", b_d[:, k], values[:, k])
+    return z
 
 
 def _project_budget_rows(x: np.ndarray, total: float) -> np.ndarray:
@@ -332,7 +305,7 @@ def _fit_structure(
     Returns (durations, segment_values, residual)."""
     horizon = prob.horizon
     segs = st.segments
-    series = _ZohSeries(prob)
+    zoh = ExpKernel(zoh_block(prob.F, prob.G))
     rng = np.random.default_rng(seed)
 
     is_ball = any(lab in ("off", "on") for lab in st.labels)
@@ -371,7 +344,7 @@ def _fit_structure(
 
     def objective(x: np.ndarray) -> np.ndarray:
         durations, values = assemble(np.atleast_2d(x))
-        z_end = series.endpoints(prob.A, values, durations)
+        z_end = _endpoints(zoh, prob.A, values, durations)
         return np.linalg.norm(z_end - prob.B, axis=1)
 
     if n_free == 0:
@@ -541,18 +514,12 @@ def synth_l0(
     support = l0_cost(control, zero_tol)
 
     certificate = recover_adjoint(prob, control, seed=seed)
-    certified = False
-    locally_optimal = False
-    if certificate is not None:
-        report = _certify(prob, certificate.eta, certificate.p_hat, control)
-        certified = report.passed
-        locally_optimal = report.locally_optimal
+    report = None if certificate is None else _certify(prob, certificate.eta, certificate.p_hat, control)
     return SynthResult(
         control=control,
         support=float(support),
         certificate=certificate,
-        certified=certified,
-        locally_optimal=locally_optimal,
+        report=report,
         residual=float(residual),
         trials=tuple(trials),
     )
@@ -588,9 +555,8 @@ def recover_adjoint(
     grid = grid[keep]
     u_samples = control.sample(grid)
 
-    stack = prob.F.T[None, :, :] * (prob.b - grid)[:, None, None]
-    transition = mat_exp_stack(stack)
-    w_maps = np.matmul(prob.G.T[None, :, :], transition)  # (n, m, d)
+    costate_flow = ExpKernel(prob.F.T)
+    w_maps = np.matmul(prob.G.T[None, :, :], costate_flow(prob.b - grid))  # (n, m, d)
 
     def loss_batch(p_batch: np.ndarray, eta: int, normalize: bool) -> np.ndarray:
         p = np.atleast_2d(p_batch)
@@ -611,7 +577,7 @@ def recover_adjoint(
     for eta in (1, 0):
         normalize = eta == 0
         if isinstance(prob.U, Box):
-            p_direct = _crossing_least_squares(prob, control, eta)
+            p_direct = _crossing_least_squares(prob, control, eta, costate_flow)
             if p_direct is not None and float(np.linalg.norm(p_direct)) >= 1e-9:
                 if float(loss_batch(p_direct[None, :], eta, normalize)[0]) <= loss_tol:
                     return AdjointParams(eta, p_direct)
@@ -640,7 +606,7 @@ def recover_adjoint(
 
 
 def _crossing_least_squares(
-    prob: Problem, control: PiecewiseConstantControl, eta: int
+    prob: Problem, control: PiecewiseConstantControl, eta: int, costate_flow: ExpKernel
 ) -> np.ndarray | None:
     """Terminal costate from the switching-threshold crossings of a control.
 
@@ -655,9 +621,10 @@ def _crossing_least_squares(
     rows = []
     targets = []
     values = control.values
+    # s(theta_k) = w_maps[k - 1] @ p_hat at each interior breakpoint theta_k
+    w_maps = np.matmul(prob.G.T, costate_flow(prob.b - control.breakpoints[1:-1]))
     for k in range(1, values.shape[0]):
-        theta = float(control.breakpoints[k])
-        w_t = prob.G.T @ mat_exp(prob.F.T, prob.b - theta)  # s(theta) = w_t @ p_hat
+        w_t = w_maps[k - 1]
         for i in range(prob.m):
             before, after = values[k - 1, i], values[k, i]
             if before == after:

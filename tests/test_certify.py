@@ -11,7 +11,7 @@ from handsoff.certify import (
     check_constancy,
     check_hamiltonian_max,
 )
-from handsoff.control_law import AdjointParams
+from handsoff.control_law import AdjointParams, adjoint_on_grid
 from handsoff.model import PiecewiseConstantControl, Problem
 from handsoff.sim import linear_dynamics, propagate_exact
 
@@ -125,10 +125,8 @@ class TestCertify:
             if np.linalg.norm(p_hat) < 1e-6:
                 continue
             ap = AdjointParams(1, p_hat)
-            from handsoff.certify import _costates_at
-
             traj = propagate_exact(ex2, ex2_control, samples=200)
-            costates = _costates_at(ex2, ap, traj.grid)
+            costates = adjoint_on_grid(ex2, ap, traj.grid)
             assert np.linalg.norm(costates, axis=1).min() > 0.0
 
     def test_nonlinear_path_verdicts_match(self, ex2, ex2_control):

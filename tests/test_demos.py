@@ -1,0 +1,30 @@
+"""The demo scripts run to completion against the current library."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# sparse_vs_l1.py is left out: it repeats the ex2 acceptance run (~15 s).
+DEMOS = ["bang_off_bang_law.py", "certificates.py", "feasibility_and_lp.py"]
+
+
+@pytest.mark.parametrize("name", DEMOS)
+def test_demo_runs(name, tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / name)],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -14,7 +14,6 @@ import scipy.linalg
 from handsoff.linalg import (
     SingularMatrixError,
     discretize_zoh,
-    discretize_zoh_stack,
     mat_exp,
     mat_exp_stack,
     solve_linear,
@@ -111,6 +110,16 @@ class TestMatExp:
         stacked = mat_exp_stack(mats)
         for i in range(8):
             assert np.abs(stacked[i] - mat_exp(mats[i])).max() < 1e-12
+        # Vector t: each sample is bit-identical to the scalar call.
+        m = np.array([[0.0, 2.0, -0.3], [-2.0, 0.0, 0.4], [0.3, -0.4, 0.0]])  # exp(m t) orthogonal
+        ts = np.array([0.0, 1e-3, -0.7, 2.5, -4.0, 400.0, -400.0])  # ||m t||_1 up to 960
+        stacked = mat_exp(m, ts)
+        assert stacked.shape == (ts.size, 3, 3)
+        assert np.array_equal(stacked[0], np.eye(3))
+        for i, t in enumerate(ts):
+            assert np.array_equal(stacked[i], mat_exp(m, t))
+            want = scipy.linalg.expm(m * t)
+            assert np.abs(stacked[i] - want).max() < 1e-12
 
 
 class TestDiscretizeZoh:
@@ -150,13 +159,15 @@ class TestDiscretizeZoh:
     def test_stack_matches_single(self):
         f = np.array([[0.0, 1.0], [-0.4, -0.3]])
         g = np.array([[0.2], [1.0]])
-        dts = np.array([0.0, 1e-4, 0.3, 2.0, 5.0])
-        a_s, b_s = discretize_zoh_stack(f, g, dts)
-        assert np.array_equal(a_s[0], np.eye(2))
-        for i, dt in enumerate(dts[1:], start=1):
+        dts = np.array([1e-4, 0.3, 2.0, 5.0])
+        a_s, b_s = discretize_zoh(f, g, dts)
+        assert a_s.shape == (4, 2, 2) and b_s.shape == (4, 2, 1)
+        for i, dt in enumerate(dts):
             a_d, b_d = discretize_zoh(f, g, float(dt))
-            assert np.abs(a_s[i] - a_d).max() < 1e-12
-            assert np.abs(b_s[i] - b_d).max() < 1e-12
+            assert np.array_equal(a_s[i], a_d)
+            assert np.array_equal(b_s[i], b_d)
+        with pytest.raises(ValueError):
+            discretize_zoh(f, g, np.array([0.3, 0.0]))
 
     def test_rejects_bad_shapes(self):
         with pytest.raises(ValueError):

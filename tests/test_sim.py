@@ -3,6 +3,7 @@ profile along trajectories."""
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from conftest import random_control, random_problem
 from handsoff.control_law import AdjointParams
@@ -68,6 +69,34 @@ class TestPropagateExact:
 
             blended = lam * end(v1) + (1 - lam) * end(v2)
             assert np.abs(end(mix) - blended).max() < 1e-9
+
+    def test_matches_expm_stepping_oracle(self):
+        # Independent oracle: step grid point to grid point with scipy's
+        # expm of the augmented matrix [[F, G], [0, 0]].
+        rng = np.random.default_rng(409)
+        prob = random_problem(rng, d=3, m=2)
+        interior = np.sort(rng.uniform(prob.a, prob.b, 39))
+        # Two breakpoints inside one grid cell: a segment whose only grid
+        # point after its start is its end.
+        interior = np.append(interior, interior[10] + 1e-4)
+        breakpoints = np.concatenate([[prob.a], np.sort(interior), [prob.b]])
+        values = rng.uniform(-1.0, 1.0, (breakpoints.size - 1, 2))
+        values[rng.random(breakpoints.size - 1) < 0.3] = 0.0
+        u = PiecewiseConstantControl(breakpoints, values)
+        traj = propagate_exact(prob, u, samples=200)
+        per_segment = np.bincount(
+            np.searchsorted(u.breakpoints, traj.grid[1:], side="left") - 1, minlength=u.values.shape[0]
+        )
+        assert per_segment.min() == 1
+
+        aug = np.zeros((5, 5))
+        aug[:3, :3] = prob.F
+        aug[:3, 3:] = prob.G
+        z = prob.A.copy()
+        for i in range(1, traj.grid.size):
+            e = scipy.linalg.expm(aug * (traj.grid[i] - traj.grid[i - 1]))
+            z = e[:3, :3] @ z + e[:3, 3:] @ u.value_at(traj.grid[i - 1])
+            assert np.abs(traj.states[i] - z).max() < 1e-11
 
     def test_dimension_mismatch_rejected(self, ex2):
         u = PiecewiseConstantControl([0.0, 5.0], [[0.0, 0.0]])
