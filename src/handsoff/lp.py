@@ -7,9 +7,16 @@ The solver is a self-contained primal simplex for problems of the form
 
 with per-variable bounds that may be infinite. Phase I minimizes signed
 artificial variables to find a vertex; Phase II pins the artificials at
-zero and optimizes the real cost. Entering and leaving variables follow
-Bland's smallest-index rule: slow in pivots per second, immune to
-cycling, and deterministic, which is what reproducible experiments need.
+zero and optimizes the real cost. The entering variable is the eligible
+one of largest |reduced cost| (Dantzig pricing, ties to the smallest
+index); after a run of degenerate basis changes it falls back to Bland's
+smallest-index rule until a step moves. Termination stays finite: a Bland
+run cannot cycle (Bland 1977), and every non-degenerate step strictly
+lowers the objective, so no basis repeats across them. The leaving
+variable is the ratio-test minimum with smallest-index ties. Each pivot
+factors the basis once and reuses it for the basic values, the duals and
+the entering column. Everything is deterministic, which is what
+reproducible experiments need.
 
 The L1 relaxation of a steering task is assembled on a uniform grid with
 the exact zero-order-hold transition pair, so the discrete dynamics carry
@@ -94,6 +101,8 @@ class LpSolution:
 _AT_LOWER, _AT_UPPER, _FREE = 0, 1, 2
 _DTOL = 1e-9  # reduced-cost optimality tolerance
 _PTOL = 1e-11  # pivot-direction tolerance in the ratio test
+_DEGENERATE_STEP = 1e-12  # a basis change moving no further is degenerate
+_BLAND_AFTER = 50  # consecutive degenerate basis changes before Bland pricing
 
 
 def simplex_solve(problem: LpProblem, max_iterations: int = 10**6) -> LpSolution:
@@ -148,7 +157,9 @@ def simplex_solve(problem: LpProblem, max_iterations: int = 10**6) -> LpSolution
 def _simplex_core(a_full, b_eq, cost, lo, hi, basis, stat, x, budget) -> tuple[int, LpStatus]:
     """Run simplex pivots in place; returns (iterations, status)."""
     total = a_full.shape[1]
+    identity = np.eye(a_full.shape[0])
     iterations = 0
+    degenerate_run = 0
     while True:
         if iterations >= budget:
             return iterations, LpStatus.ITERATION_LIMIT
@@ -156,12 +167,13 @@ def _simplex_core(a_full, b_eq, cost, lo, hi, basis, stat, x, budget) -> tuple[i
 
         basic_mask = np.zeros(total, dtype=bool)
         basic_mask[basis] = True
-        b_mat = a_full[:, basis]
+        # One factorization per pivot serves x_B, the duals and the
+        # entering column.
+        b_inv = solve_linear(a_full[:, basis], identity)
         rhs = b_eq - a_full[:, ~basic_mask] @ x[~basic_mask]
-        x_basic = solve_linear(b_mat, rhs)
-        x[basis] = x_basic
+        x[basis] = b_inv @ rhs
 
-        y = solve_linear(b_mat.T, cost[np.asarray(basis)])
+        y = b_inv.T @ cost[np.asarray(basis)]
         reduced = cost - a_full.T @ y
 
         nonbasic = ~basic_mask
@@ -174,14 +186,18 @@ def _simplex_core(a_full, b_eq, cost, lo, hi, basis, stat, x, budget) -> tuple[i
         candidates_idx = np.flatnonzero(eligible)
         if candidates_idx.size == 0:
             return iterations, LpStatus.OPTIMAL
-        entering = int(candidates_idx[0])  # Bland: smallest index
+        if degenerate_run >= _BLAND_AFTER:
+            entering = int(candidates_idx[0])  # Bland: smallest index
+        else:
+            # Dantzig: largest |reduced cost|, ties to the smallest index.
+            entering = int(candidates_idx[np.argmax(np.abs(reduced[candidates_idx]))])
 
         if stat[entering] == _FREE:
             sigma = 1.0 if reduced[entering] < 0 else -1.0
         else:
             sigma = 1.0 if stat[entering] == _AT_LOWER else -1.0
 
-        w = solve_linear(b_mat, a_full[:, entering])
+        w = b_inv @ a_full[:, entering]
         delta = -sigma * w  # per-unit motion of the basic values
 
         # Candidate steps: every blocked basic variable, plus the entering
@@ -213,11 +229,13 @@ def _simplex_core(a_full, b_eq, cost, lo, hi, basis, stat, x, budget) -> tuple[i
             return iterations, LpStatus.UNBOUNDED
 
         if best_pos < 0:
-            # Bound flip: no basis change.
+            # Bound flip: no basis change, and a strict objective decrease.
+            degenerate_run = 0
             stat[entering] = _AT_UPPER if stat[entering] == _AT_LOWER else _AT_LOWER
             x[entering] = hi[entering] if stat[entering] == _AT_UPPER else lo[entering]
             continue
 
+        degenerate_run = degenerate_run + 1 if best_t <= _DEGENERATE_STEP else 0
         leaving = basis[best_pos]
         x[entering] = x[entering] + sigma * best_t
         x[leaving] = hi[leaving] if delta[best_pos] > 0 else lo[leaving]

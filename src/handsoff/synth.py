@@ -422,6 +422,21 @@ def _assemble_control(
     return PiecewiseConstantControl(breakpoints, np.asarray(merged_vals))
 
 
+def _min_time_shortcut(prob: Problem, n_intervals: int) -> float | None:
+    """What :func:`min_time` returns when no bisection is needed, else None.
+
+    0.0 when the plant rests at the target, +inf when even the full
+    horizon cannot steer A to B (one LP). None means the full horizon is
+    feasible; the bisection never returns more than it, so None alone
+    already says ``min_time(prob) <= prob.horizon``.
+    """
+    if np.allclose(prob.A, prob.B) and np.allclose(prob.F @ prob.A, 0.0):
+        return 0.0
+    if lp.linf_feasibility(prob, prob.horizon, n_intervals) > 1.0 + 1e-9:
+        return float("inf")
+    return None
+
+
 def min_time(prob: Problem, tol: float = 1e-3, n_intervals: int = 200) -> float:
     """Shortest horizon (within tol) on which the steering task is feasible.
 
@@ -429,12 +444,10 @@ def min_time(prob: Problem, tol: float = 1e-3, n_intervals: int = 200) -> float:
     (:func:`handsoff.lp.linf_feasibility` <= 1 means feasible). Returns
     +inf when even the full horizon cannot steer A to B.
     """
-    if np.allclose(prob.A, prob.B) and np.allclose(prob.F @ prob.A, 0.0):
-        return 0.0
-    full = prob.horizon
-    if lp.linf_feasibility(prob, full, n_intervals) > 1.0 + 1e-9:
-        return float("inf")
-    lo, hi = 0.0, full
+    shortcut = _min_time_shortcut(prob, n_intervals)
+    if shortcut is not None:
+        return shortcut
+    lo, hi = 0.0, prob.horizon
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if lp.linf_feasibility(prob, mid, n_intervals) <= 1.0 + 1e-9:
@@ -465,10 +478,11 @@ def synth_l0(
     if k_max is None:
         k_max = 2 * prob.d + 1
     if isinstance(prob.U, Box):
-        # Ball sets skip this gate: the LP feasibility test is box-only,
-        # so infeasibility surfaces as an empty structure search instead.
-        mt = min_time(prob, tol=1e-3, n_intervals=200)
-        if not mt <= prob.horizon:
+        # One feasibility LP at the full horizon gives min_time's verdict
+        # on the horizon without its bisection. Ball sets skip this gate:
+        # the LP feasibility test is box-only, so infeasibility surfaces as
+        # an empty structure search instead.
+        if _min_time_shortcut(prob, n_intervals=200) == float("inf"):
             raise InfeasibleProblemError(
                 f"endpoint unreachable on the {prob.horizon:.6g}-unit horizon: "
                 "the minimum transfer time exceeds it (feasibility scaling > 1)"

@@ -6,6 +6,7 @@ import itertools
 import numpy as np
 import pytest
 
+from handsoff import lp
 from handsoff.lp import (
     LpProblem,
     LpStatus,
@@ -56,6 +57,30 @@ def random_bounded_lp(rng: np.random.Generator, n: int, rows: int) -> LpProblem:
     )
 
 
+def random_mixed_bound_lp(rng: np.random.Generator, n: int, rows: int) -> LpProblem:
+    """Feasible bounded-variable LP with shifted boxes and some infinite
+    upper bounds; those columns cost more than zero, so the optimum is
+    finite."""
+    lower = rng.uniform(-1.0, 0.0, n)
+    upper = lower + rng.uniform(0.5, 2.0, n)
+    open_top = rng.random(n) < 0.25
+    upper[open_top] = np.inf
+    c = rng.uniform(-1.0, 1.0, n)
+    c[open_top] = rng.uniform(0.1, 1.0, int(open_top.sum()))
+    a = rng.uniform(-2.0, 2.0, (rows, n))
+    x_feas = lower + rng.uniform(0.0, 0.5, n)
+    return LpProblem(c=c, a_eq=a, b_eq=a @ x_feas, lower=lower, upper=upper)
+
+
+@pytest.fixture(params=["dantzig", "bland"])
+def pricing(request, monkeypatch):
+    """Run a test under the default pricing and under Bland pricing from
+    the first pivot (the anti-cycling fallback, otherwise rarely reached)."""
+    if request.param == "bland":
+        monkeypatch.setattr(lp, "_BLAND_AFTER", 0)
+    return request.param
+
+
 class TestSimplexCore:
     def test_pinned_single_variable(self):
         p = LpProblem(c=[1.0], a_eq=[[1.0]], b_eq=[1.0], lower=[0.0], upper=[2.0])
@@ -93,6 +118,41 @@ class TestSimplexCore:
         s = simplex_solve(p)
         assert s.status is LpStatus.OPTIMAL
         assert s.objective == pytest.approx(0.5)
+
+    def test_beale_cycling_example(self, pricing):
+        # Beale's degenerate LP, on which Dantzig pricing with a naive
+        # leaving rule cycles. Optimum: x = (3/4, 0, 0, 1, 0, 1, 0).
+        p = LpProblem(
+            c=[0.0, 0.0, 0.0, -0.75, 20.0, -0.5, 6.0],
+            a_eq=[
+                [1.0, 0.0, 0.0, 0.25, -8.0, -1.0, 9.0],
+                [0.0, 1.0, 0.0, 0.5, -12.0, -0.5, 3.0],
+                [0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0],
+            ],
+            b_eq=[0.0, 0.0, 1.0],
+            lower=np.zeros(7),
+            upper=np.full(7, np.inf),
+        )
+        s = simplex_solve(p)
+        assert s.status is LpStatus.OPTIMAL
+        assert s.objective == pytest.approx(-1.25, abs=1e-12)
+
+    def test_matches_highs(self, pricing):
+        optimize = pytest.importorskip("scipy.optimize")
+        rng = np.random.default_rng(547)
+        for _ in range(50):
+            p = random_mixed_bound_lp(rng, n=40, rows=6)
+            want = optimize.linprog(
+                p.c,
+                A_eq=p.a_eq,
+                b_eq=p.b_eq,
+                bounds=list(zip(p.lower, np.where(np.isinf(p.upper), None, p.upper))),
+                method="highs",
+            )
+            assert want.status == 0
+            got = simplex_solve(p)
+            assert got.status is LpStatus.OPTIMAL
+            assert got.objective == pytest.approx(want.fun, abs=1e-8)
 
     def test_matches_vertex_enumeration(self):
         rng = np.random.default_rng(503)
@@ -228,6 +288,24 @@ class TestL1Solve:
         assert control.values.shape == (300, 2)
         traj = propagate_exact(prob, control)
         assert endpoint_residual(traj, prob.B) <= 1e-8
+
+    @pytest.mark.parametrize("n_intervals, max_pivots", [(1000, 1500), (2000, 3000)])
+    def test_singular_benchmark_pivot_count(self, ex2, n_intervals, max_pivots):
+        # Pivot counts are deterministic; Bland pricing alone needs
+        # 14,539 and 55,319 here, growing with the square of the grid.
+        sol = simplex_solve(build_l1_lp(ex2, n_intervals))
+        assert sol.status is LpStatus.OPTIMAL
+        assert sol.iterations <= max_pivots
+
+    def test_bland_fallback_engages(self, ex2, monkeypatch):
+        # Falling back from the first pivot prices by smallest index
+        # throughout: same optimum, several times the pivots.
+        dantzig = simplex_solve(build_l1_lp(ex2, 200))
+        monkeypatch.setattr(lp, "_BLAND_AFTER", 0)
+        bland = simplex_solve(build_l1_lp(ex2, 200))
+        assert bland.status is LpStatus.OPTIMAL
+        assert bland.objective == pytest.approx(dantzig.objective, abs=1e-12)
+        assert bland.iterations > 2 * dantzig.iterations
 
     def test_grid_refinement_stabilizes(self, ex2):
         costs = {n: l1_solve(ex2, n)[1] for n in (250, 500, 1000, 2000)}

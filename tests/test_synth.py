@@ -9,6 +9,7 @@ from handsoff.sim import endpoint_residual, propagate_exact
 from handsoff.synth import (
     InfeasibleProblemError,
     Structure,
+    _min_time_shortcut,
     enumerate_structures,
     min_time,
     recover_adjoint,
@@ -43,6 +44,25 @@ class TestMinTime:
     def test_infeasible_signal(self, ex1):
         short = Problem(F=ex1.F, G=ex1.G, a=0.0, b=2.0, A=ex1.A, B=ex1.B, U=ex1.U)
         assert min_time(short) == np.inf
+
+
+def d3_plant() -> Problem:
+    rng = np.random.default_rng(0)
+    f = rng.uniform(-1, 1, (3, 3)) - 1.5 * np.eye(3)
+    g = rng.uniform(-1, 1, (3, 1))
+    return Problem(F=f, G=g, a=0, b=6, A=rng.uniform(-1, 1, 3), B=np.zeros(3), U=UNIT_BOX)
+
+
+def test_one_lp_gate_matches_min_time(ex1, ex2):
+    # synth_l0 gates on _min_time_shortcut (at most one LP) instead of the
+    # whole bisection; both must give the same verdict on the horizon.
+    short = Problem(F=ex1.F, G=ex1.G, a=0.0, b=2.0, A=ex1.A, B=ex1.B, U=ex1.U)
+    verdicts = []
+    for prob in (ex1, short, ex2, d3_plant()):
+        gate_passes = _min_time_shortcut(prob, 200) != np.inf
+        assert gate_passes == (min_time(prob, 1e-3, 200) <= prob.horizon)
+        verdicts.append(gate_passes)
+    assert verdicts == [True, False, True, True]
 
 
 class TestEnumerateStructures:
