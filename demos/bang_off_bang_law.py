@@ -20,8 +20,7 @@ ap = AdjointParams(1, np.array([1.0, 0.0]))
 print(" t    s(t)   candidates (eta = 1)")
 for t in (0.0, 2.0, 3.9999, 4.0, 4.5, 5.0):
     s = switching_function(prob, ap, t)[0]
-    cands = candidates_at(prob, ap, t)
-    values = cands.channels[0].values
+    values = [float(v[0]) for v in candidates_at(prob, ap, t).vectors()]
     print(f"{t:4.2f}  {s:5.2f}   {values}")
 print("\nAbove the threshold (s > 1) the input saturates; below it the zero")
 print("bonus wins and the input is exactly 0. At s = 1 both tie.")

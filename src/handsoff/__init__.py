@@ -12,12 +12,10 @@ __version__ = "0.1.0"
 from .certify import CertificateReport, certify, check_adjoint, check_constancy, check_hamiltonian_max
 from .control_law import (
     AdjointParams,
-    BallCandidates,
-    BoxCandidates,
+    Candidates,
     adjoint_at,
     argmax_hamiltonian_bruteforce,
-    bang_off_bang_ball,
-    bang_off_bang_box,
+    bang_off_bang,
     candidates_at,
     pointwise_hamiltonian,
     switching_function,
@@ -28,19 +26,16 @@ from .model import (
     AdmissibleSet,
     Ball,
     Box,
-    CostReport,
     PiecewiseConstantControl,
     Problem,
     Trajectory,
     ValidationError,
-    cost_report,
     l0_cost,
     l1_cost,
     load_control,
     load_problem,
     save_control,
     save_problem,
-    weighted_l0_cost,
 )
 from .problems import example_1, example_2, nonsparse_l1_witness
 from .sim import (
@@ -61,7 +56,6 @@ from .synth import (
     enumerate_structures,
     min_time,
     recover_adjoint,
-    solve_durations,
     synth_l0,
 )
 
@@ -69,12 +63,10 @@ __all__ = [
     "AdjointParams",
     "AdmissibleSet",
     "Ball",
-    "BallCandidates",
     "BlowUpError",
     "Box",
-    "BoxCandidates",
+    "Candidates",
     "CertificateReport",
-    "CostReport",
     "InfeasibleProblemError",
     "LpProblem",
     "LpSolution",
@@ -90,15 +82,13 @@ __all__ = [
     "ValidationError",
     "adjoint_at",
     "argmax_hamiltonian_bruteforce",
-    "bang_off_bang_ball",
-    "bang_off_bang_box",
+    "bang_off_bang",
     "build_l1_lp",
     "candidates_at",
     "certify",
     "check_adjoint",
     "check_constancy",
     "check_hamiltonian_max",
-    "cost_report",
     "discretize_zoh",
     "endpoint_residual",
     "enumerate_structures",
@@ -122,9 +112,7 @@ __all__ = [
     "save_problem",
     "save_trajectory",
     "simplex_solve",
-    "solve_durations",
     "solve_linear",
     "switching_function",
     "synth_l0",
-    "weighted_l0_cost",
 ]

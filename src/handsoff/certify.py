@@ -35,9 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .control_law import AdjointParams, adjoint_on_grid, hamiltonian_values
-from .linalg import mat_exp
-from .model import Ball, Box, PiecewiseConstantControl, Problem, Trajectory
+from .control_law import AdjointParams, adjoint_on_grid, bang_off_bang, hamiltonian_values
+from .model import PiecewiseConstantControl, Problem, Trajectory
 from .sim import (
     NonlinearDynamics,
     breakpoint_mask,
@@ -99,7 +98,7 @@ def check_adjoint(
     if dynamics is None:
         grid = np.linspace(prob.a, prob.b, grid_n)
         h = grid[1] - grid[0]
-        costates = _costate_recurrence(prob, ap, grid)
+        costates = adjoint_on_grid(prob, ap, grid)
         deriv = (costates[2:] - costates[:-2]) / (2.0 * h)
         defect = deriv + costates[1:-1] @ prob.F
         return float(np.abs(defect).max())
@@ -116,17 +115,6 @@ def check_adjoint(
         jac = dynamics.jacobian(traj.states[i], traj.controls[i])
         defect_max = max(defect_max, float(np.abs(deriv + jac.T @ costates[i]).max()))
     return defect_max
-
-
-def _costate_recurrence(prob: Problem, ap: AdjointParams, grid: np.ndarray) -> np.ndarray:
-    """Costates on a uniform grid via the exact one-step transition."""
-    h = grid[1] - grid[0]
-    step = mat_exp(prob.F.T, h)
-    costates = np.empty((grid.size, prob.d))
-    costates[-1] = ap.p_hat
-    for i in range(grid.size - 2, -1, -1):
-        costates[i] = step @ costates[i + 1]
-    return costates
 
 
 def _backward_adjoint(dyn: NonlinearDynamics, traj: Trajectory, p_hat: np.ndarray) -> np.ndarray:
@@ -150,13 +138,6 @@ def _backward_adjoint(dyn: NonlinearDynamics, traj: Trajectory, p_hat: np.ndarra
         k4 = rhs(i, i + 1, 0.0, p - h * k3)
         costates[i] = p - (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return costates
-
-
-def _sup_linear(u_set: Box | Ball, s: np.ndarray) -> np.ndarray:
-    """max over v in U of <s, v> for stacked switching values s (n, m)."""
-    if isinstance(u_set, Box):
-        return np.where(s > 0, s * u_set.upper[None, :], s * u_set.lower[None, :]).sum(axis=1)
-    return u_set.radius * np.linalg.norm(s, axis=1)
 
 
 def check_hamiltonian_max(
@@ -185,8 +166,8 @@ def check_hamiltonian_max(
         costates = adjoint_on_grid(prob, ap, grid)
         achieved = hamiltonian_values(prob, ap.eta, costates, states, controls, zero_tol=zero_tol)
         drift = np.einsum("ij,ij->i", costates, states @ prob.F.T)
-        switching = costates @ prob.G
-        sup = drift + np.maximum(_sup_linear(prob.U, switching), float(ap.eta))
+        gain = bang_off_bang(prob.U, costates @ prob.G, ap.eta).gain
+        sup = drift + np.maximum(gain, float(ap.eta))
         return float(np.max(sup - achieved))
 
     from .control_law import _input_grid

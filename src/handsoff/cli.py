@@ -145,11 +145,11 @@ def _parse_vector(text: str) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _solve_l0_artifacts(prob, result, out: Path, stem: str, zero_tol: float, plot: bool):
+def _solve_l0_artifacts(prob, result, out: Path, stem: str, plot: bool) -> None:
     control_path = out / f"{stem}_l0_control.csv"
     save_control(result.control, control_path)
-    traj = propagate_exact(prob, result.control)
-    save_trajectory(traj, out / f"{stem}_l0_trajectory.csv", prob=prob, ap=result.certificate)
+    traj_path = out / f"{stem}_l0_trajectory.csv"
+    save_trajectory(result.trajectory, traj_path, prob=prob, ap=result.certificate)
     sidecar = {
         "support": result.support,
         "eta": result.certificate.eta if result.certificate else None,
@@ -161,11 +161,11 @@ def _solve_l0_artifacts(prob, result, out: Path, stem: str, zero_tol: float, plo
     if result.report is not None:
         (out / f"{stem}_l0_certificate.json").write_text(result.report.to_json() + "\n")
     if plot:
-        _render_solution_svg(prob, result, traj, out / f"{stem}_l0.svg")
-    return traj
+        _render_solution_svg(prob, result, out / f"{stem}_l0.svg")
 
 
-def _render_solution_svg(prob, result, traj, path):
+def _render_solution_svg(prob, result, path):
+    traj = result.trajectory
     control_panel = Panel("control", ylabel="u")
     cx, cy = step_points(result.control.breakpoints, result.control.values[:, 0])
     control_panel.add(cx, cy, label="sparsest control")
@@ -186,7 +186,7 @@ def cmd_solve_l0(args) -> int:
     )
     out = _out_dir(args)
     stem = Path(args.problem).stem
-    _solve_l0_artifacts(prob, result, out, stem, args.zero_tol, args.plot)
+    _solve_l0_artifacts(prob, result, out, stem, args.plot)
     print(f"support={result.support:.6f}")
     bps = ",".join(f"{t:.12g}" for t in result.control.breakpoints)
     print(f"breakpoints={bps}")
@@ -262,7 +262,7 @@ def cmd_example(args) -> int:
         zero_tol=args.zero_tol,
         seed=_seed(args),
     )
-    traj = _solve_l0_artifacts(prob, result, out, args.name, args.zero_tol, plot=False)
+    _solve_l0_artifacts(prob, result, out, args.name, plot=False)
     print(f"l0_support={result.support:.6f}")
     bps = ",".join(f"{t:.12g}" for t in result.control.breakpoints)
     print(f"l0_breakpoints={bps}")
@@ -278,22 +278,20 @@ def cmd_example(args) -> int:
 
     # The relaxation's non-sparsity is shown either directly by the LP
     # solution's support or, when the simplex lands on a sparse vertex of
-    # the singular optimum, by a constructed equal-cost spread control.
-    if l1_support > 3.05 or args.name != "ex2":
-        print(f"l1_nonsparse={'true' if l1_support > result.support + 0.05 else 'false'}")
+    # a singular optimum, by a constructed equal-cost spread control.
+    nonsparse = l1_support > result.support + 0.05
+    witness = None if nonsparse else nonsparse_l1_witness(prob)
+    if witness is None:
+        print(f"l1_nonsparse={str(nonsparse).lower()}")
     else:
-        witness = nonsparse_l1_witness(prob)
-        if witness is None:
-            print("l1_nonsparse=unknown")
-        else:
-            w_cost = l1_cost(witness)
-            w_support = l0_cost(witness, args.zero_tol)
-            w_res = endpoint_residual(propagate_exact(prob, witness), prob.B)
-            save_control(witness, out / f"{args.name}_l1_witness_control.csv")
-            print(f"witness_cost={w_cost:.9f}")
-            print(f"witness_support={w_support:.6f}")
-            print(f"witness_residual={w_res:.6e}")
-            print("l1_nonsparse=witness")
+        w_cost = l1_cost(witness)
+        w_support = l0_cost(witness, args.zero_tol)
+        w_res = endpoint_residual(propagate_exact(prob, witness), prob.B)
+        save_control(witness, out / f"{args.name}_l1_witness_control.csv")
+        print(f"witness_cost={w_cost:.9f}")
+        print(f"witness_support={w_support:.6f}")
+        print(f"witness_residual={w_res:.6e}")
+        print("l1_nonsparse=witness")
 
     compare = Panel(f"{args.name}: sparsest (solid) vs L1-relaxed (dashed) control", ylabel="u")
     sx, sy = step_points(result.control.breakpoints, result.control.values[:, 0])
@@ -301,6 +299,7 @@ def cmd_example(args) -> int:
     lx, ly = step_points(l1_control.breakpoints, l1_control.values[:, 0])
     compare.add(lx, ly, label="L1 control", dashed=True)
     states = Panel("states under the sparsest control", ylabel="z")
+    traj = result.trajectory
     for i in range(prob.d):
         states.add(traj.grid, traj.states[:, i], label=f"z_{i + 1}")
     render([compare, states], out / f"{args.name}_comparison.svg")

@@ -3,22 +3,26 @@
 For the LTI plant the costate flows backward from a terminal vector
 ``p_hat`` as ``p(t) = exp((b - t) F^T) p_hat``, and the input enters the
 Hamiltonian only through the switching function ``s(t) = G^T p(t)``. The
-candidate optimal inputs at each instant follow a bang-off-bang rule: in
-the normal case (eta = 1) staying at zero is worth one unit of Hamiltonian
-value, so a channel saturates only when the switching value clears the
-threshold |s_i| * bound > 1; in the abnormal case (eta = 0) the zero bonus
-is absent and the rule degenerates to plain sign-based saturation.
+candidate optimal inputs at each instant follow one bang-off-bang rule,
+:func:`bang_off_bang`. In the normal case (eta = 1) the zero input earns
+one unit of Hamiltonian value, and the bonus belongs to the whole input
+vector (v = 0), as in the support measure ``l0_cost``: the input saturates
+only when the best achievable ``<s, v>`` over the admissible set clears 1.
+For one channel this is the per-channel threshold |s| * bound > 1. In the
+abnormal case (eta = 0) the zero bonus is absent and the rule degenerates
+to plain sign-based saturation.
 
 Threshold equalities produce tie sets containing both the zero input and
-the saturated one; singular instances live entirely inside these ties, so
-the candidate containers below keep the full set instead of picking a
-representative.
+the saturated one, and a channel with zero switching value is free over its
+whole interval; singular instances live entirely inside these ties, so the
+rule keeps the full set instead of picking a representative.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -118,137 +122,111 @@ def pointwise_hamiltonian(
 
 
 # ---------------------------------------------------------------------------
-# Candidate sets
+# The bang-off-bang rule
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ChannelCandidates:
-    """Candidate values for one input channel.
+class Maximizer(NamedTuple):
+    """Pointwise Hamiltonian maximizers at stacked switching values (..., m).
 
-    ``whole_interval`` marks the abnormal degenerate case (zero switching
-    value) where every admissible value maximizes; ``values`` then holds
-    the interval endpoints and 0 as discrete representatives.
+    The *bang set* holds every admissible v with v_i = bang_i on the
+    channels that are not free; a free channel ranges over its whole
+    interval (a free ball is the whole ball), since it does not move
+    <s, v>. The maximizer set is the bang set where ``on``, plus the zero
+    input where ``zero``.
     """
 
-    values: tuple[float, ...]
-    whole_interval: bool = False
-    bounds: tuple[float, float] = (0.0, 0.0)
-
-    def distance(self, x: float) -> float:
-        if self.whole_interval and self.bounds[0] <= x <= self.bounds[1]:
-            return 0.0
-        return min(abs(x - c) for c in self.values)
+    bang: np.ndarray  # (..., m)
+    free: np.ndarray  # (..., m), bool
+    gain: np.ndarray  # (...), sup over U of <s, v>
+    zero: np.ndarray  # (...), bool
+    on: np.ndarray  # (...), bool
 
 
-@dataclass(frozen=True)
-class BoxCandidates:
-    """Per-channel candidate sets for a box-constrained input."""
+def bang_off_bang(u_set: Box | Ball, s: np.ndarray, eta: int, tie_tol: float = TIE_TOL) -> Maximizer:
+    """The bang-off-bang rule at switching values s of shape (..., m).
 
-    channels: tuple[ChannelCandidates, ...]
-
-    def vectors(self) -> list[np.ndarray]:
-        """All discrete candidate input vectors (Cartesian product)."""
-        return [np.array(combo) for combo in itertools.product(*(c.values for c in self.channels))]
-
-    def distance(self, v: np.ndarray) -> float:
-        """Euclidean distance from v to the candidate set."""
-        v = np.atleast_1d(np.asarray(v, dtype=float))
-        return float(np.sqrt(sum(c.distance(x) ** 2 for c, x in zip(self.channels, v))))
-
-
-@dataclass(frozen=True)
-class BallCandidates:
-    """Candidate input vectors for a ball-constrained input."""
-
-    points: tuple[tuple[float, ...], ...]
-    whole_ball: bool = False
-    radius: float = 0.0
-
-    def vectors(self) -> list[np.ndarray]:
-        return [np.array(p) for p in self.points]
-
-    def distance(self, v: np.ndarray) -> float:
-        v = np.atleast_1d(np.asarray(v, dtype=float))
-        if self.whole_ball and np.linalg.norm(v) <= self.radius:
-            return 0.0
-        return min(float(np.linalg.norm(v - np.array(p))) for p in self.points)
-
-
-def bang_off_bang_box(
-    s: np.ndarray, eta: int, box: Box, tie_tol: float = TIE_TOL
-) -> BoxCandidates:
-    """Candidate maximizer set for a box input at switching value s.
-
-    Normal case (eta = 1), per channel: saturate high when the best
-    achievable product s_i * v exceeds 1, stay at zero when it falls
-    short, and keep both in the tie band. Abnormal case (eta = 0): plain
-    sign rule, with the whole interval admissible at s_i = 0.
+    Box: bang_i is the bound on the side of s_i, and channel i is free when
+    |s_i| <= tie_tol. Ball: the bang vector is r s / ||s||, and the whole
+    ball is free when ||s|| <= tie_tol. The gain sup <s, v> is attained on
+    the bang set. Normal case: the zero input earns the unit bonus, so the
+    bang set wins when gain > 1 + tie_tol, zero wins when gain < 1 - tie_tol,
+    and both tie inside the band. Abnormal case: the bang set alone.
     """
-    s = np.atleast_1d(np.asarray(s, dtype=float))
     if eta not in (0, 1):
         raise ValueError(f"eta must be 0 or 1, got {eta}")
-    if s.size != box.dim:
-        raise ValueError(f"switching value has {s.size} channels, box has {box.dim}")
-    channels = []
-    for i in range(box.dim):
-        lo, hi = float(box.lower[i]), float(box.upper[i])
-        bang = hi if s[i] > 0 else lo
-        gain = s[i] * bang  # best achievable <s_i, v_i>, always >= 0
-        if eta == 1:
-            if gain > 1.0 + tie_tol:
-                cands = (bang,)
-            elif gain < 1.0 - tie_tol:
-                cands = (0.0,)
-            else:
-                cands = (0.0, bang)
-            channels.append(ChannelCandidates(cands, bounds=(lo, hi)))
-        else:
-            if abs(s[i]) <= tie_tol:
-                channels.append(
-                    ChannelCandidates((lo, 0.0, hi), whole_interval=True, bounds=(lo, hi))
-                )
-            else:
-                channels.append(ChannelCandidates((bang,), bounds=(lo, hi)))
-    return BoxCandidates(tuple(channels))
-
-
-def bang_off_bang_ball(
-    w: np.ndarray, eta: int, radius: float, tie_tol: float = TIE_TOL
-) -> BallCandidates:
-    """Candidate maximizer set for a ball input at switching value w.
-
-    The best achievable inner product is radius * ||w||, attained along
-    w/||w||; the normal case compares it against the unit zero bonus.
-    """
-    w = np.atleast_1d(np.asarray(w, dtype=float))
-    if eta not in (0, 1):
-        raise ValueError(f"eta must be 0 or 1, got {eta}")
-    norm = float(np.linalg.norm(w))
-    zero = tuple(np.zeros(w.size))
-    if norm <= tie_tol:
-        if eta == 1:
-            return BallCandidates((zero,), radius=radius)
-        return BallCandidates((zero,), whole_ball=True, radius=radius)
-    bang = tuple(radius * w / norm)
-    gain = radius * norm
+    s = np.asarray(s, dtype=float)
+    if isinstance(u_set, Box):
+        if s.shape[-1:] != (u_set.dim,):
+            raise ValueError(f"switching value has shape {s.shape}, box has {u_set.dim} channels")
+        bang = np.where(s > 0, u_set.upper, u_set.lower)
+        gain = (s * bang).sum(axis=-1)
+        free = np.abs(s) <= tie_tol
+    else:
+        norm = np.linalg.norm(s, axis=-1)
+        bang = u_set.radius * s / np.maximum(norm, 1e-300)[..., None]
+        gain = u_set.radius * norm
+        free = np.broadcast_to((norm <= tie_tol)[..., None], s.shape)
     if eta == 0:
-        return BallCandidates((bang,), radius=radius)
-    if gain > 1.0 + tie_tol:
-        return BallCandidates((bang,), radius=radius)
-    if gain < 1.0 - tie_tol:
-        return BallCandidates((zero,), radius=radius)
-    return BallCandidates((zero, bang), radius=radius)
+        return Maximizer(bang, free, gain, np.zeros(gain.shape, bool), np.ones(gain.shape, bool))
+    return Maximizer(bang, free, gain, ~(gain > 1.0 + tie_tol), ~(gain < 1.0 - tie_tol))
 
 
-def candidates_at(
-    prob: Problem, ap: AdjointParams, t: float, tie_tol: float = TIE_TOL
-) -> BoxCandidates | BallCandidates:
-    """Bang-off-bang candidate set at time t for the problem's input set."""
-    s = switching_function(prob, ap, t)
-    if isinstance(prob.U, Box):
-        return bang_off_bang_box(s, ap.eta, prob.U, tie_tol)
-    return bang_off_bang_ball(s, ap.eta, prob.U.radius, tie_tol)
+def candidate_distance(u_set: Box | Ball, rule, u: np.ndarray) -> np.ndarray:
+    """Euclidean distance from inputs u (..., m) to the maximizer set.
+
+    ``rule`` is a :class:`Maximizer` or a :class:`Candidates`; leading
+    axes broadcast.
+    """
+    u = np.asarray(u, dtype=float)
+    bang, free = np.asarray(rule.bang), np.asarray(rule.free)
+    d_zero = np.linalg.norm(u, axis=-1)
+    if isinstance(u_set, Box):
+        outside = np.maximum(u_set.lower - u, 0.0) + np.maximum(u - u_set.upper, 0.0)
+        d_bang = np.sqrt((np.where(free, outside, np.abs(u - bang)) ** 2).sum(axis=-1))
+    else:
+        outside = np.maximum(d_zero - u_set.radius, 0.0)
+        d_bang = np.where(free[..., 0], outside, np.linalg.norm(u - bang, axis=-1))
+    return np.where(rule.on, np.where(rule.zero, np.minimum(d_bang, d_zero), d_bang), d_zero)
+
+
+@dataclass(frozen=True)
+class Candidates:
+    """The maximizer set at one instant (:func:`bang_off_bang` fields)."""
+
+    u_set: Box | Ball = field(compare=False, repr=False)
+    bang: tuple[float, ...]
+    free: tuple[bool, ...]
+    zero: bool
+    on: bool
+
+    def vectors(self) -> list[np.ndarray]:
+        """Discrete candidate inputs: the zero input, then the bang set with
+        every free box channel at its bounds and at 0 (a free ball: 0)."""
+        origin = (0.0,) * len(self.bang)
+        points = [origin] if self.zero else []
+        if self.on and isinstance(self.u_set, Ball):
+            points.append(origin if self.free[0] else self.bang)
+        elif self.on:
+            box = self.u_set
+            spans = [
+                (float(lo), 0.0, float(hi)) if f else (b,)
+                for b, f, lo, hi in zip(self.bang, self.free, box.lower, box.upper)
+            ]
+            points.extend(itertools.product(*spans))
+        return [np.array(p) for p in dict.fromkeys(points)]
+
+    def distance(self, v: np.ndarray) -> float:
+        """Euclidean distance from v to the maximizer set."""
+        return float(candidate_distance(self.u_set, self, v))
+
+
+def candidates_at(prob: Problem, ap: AdjointParams, t: float, tie_tol: float = TIE_TOL) -> Candidates:
+    """Bang-off-bang maximizer set at time t for the problem's input set."""
+    rule = bang_off_bang(prob.U, switching_function(prob, ap, t), ap.eta, tie_tol)
+    return Candidates(
+        prob.U, tuple(rule.bang.tolist()), tuple(rule.free.tolist()), bool(rule.zero), bool(rule.on)
+    )
 
 
 # ---------------------------------------------------------------------------

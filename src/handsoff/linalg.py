@@ -35,7 +35,8 @@ def _square_up(e: np.ndarray, squarings: np.ndarray) -> np.ndarray:
     """Square each stacked exponential of the scaled argument back up."""
     for j in range(int(squarings.max()) if squarings.size else 0):
         moving = squarings > j
-        e[moving] = e[moving] @ e[moving]
+        part = e[moving]
+        e[moving] = part @ part
     return e
 
 

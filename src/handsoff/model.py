@@ -229,18 +229,6 @@ class Trajectory:
         object.__setattr__(self, "controls", _readonly(u))
 
 
-@dataclass(frozen=True)
-class CostReport:
-    """Cost summary of a control: support measure, L1 effort, weighted
-    per-channel support, and the indicator-integral objective
-    ``support - (b - a)``."""
-
-    l0_support: float
-    l1_cost: float
-    weighted_l0: float
-    clarke_cost: float
-
-
 def _off_mask(values: np.ndarray, zero_tol: float) -> np.ndarray:
     """True for segments whose value is (numerically) the zero vector."""
     return np.all(np.abs(values) <= zero_tol, axis=1)
@@ -262,47 +250,9 @@ def zero_time(u: PiecewiseConstantControl, zero_tol: float = ZERO_TOL) -> float:
     return float(np.sum(u.segment_lengths[off]))
 
 
-def weighted_l0_cost(
-    u: PiecewiseConstantControl, weights: np.ndarray, zero_tol: float = ZERO_TOL
-) -> float:
-    """Per-channel support measures combined with positive weights and
-    scaled by 1/(b - a).
-
-    With one channel and unit weight this equals ``l0_cost(u) / (b - a)``
-    exactly (both reduce to the same segment-length sum).
-    """
-    w = np.atleast_1d(np.asarray(weights, dtype=float))
-    if w.size != u.m:
-        raise ValueError(f"{w.size} weights for {u.m} channels")
-    if not np.all(w > 0):
-        raise ValueError("weights must be strictly positive")
-    lengths = u.segment_lengths
-    total = 0.0
-    for i in range(u.m):
-        on_i = np.abs(u.values[:, i]) > zero_tol
-        total += w[i] * float(np.sum(lengths[on_i]))
-    return total / (u.b - u.a)
-
-
 def l1_cost(u: PiecewiseConstantControl) -> float:
     """Integral of the 1-norm of the control over the horizon."""
     return float(np.sum(u.segment_lengths * np.abs(u.values).sum(axis=1)))
-
-
-def cost_report(
-    u: PiecewiseConstantControl,
-    weights: np.ndarray | None = None,
-    zero_tol: float = ZERO_TOL,
-) -> CostReport:
-    """Evaluate all cost functionals of a control in one pass."""
-    support = l0_cost(u, zero_tol)
-    w = np.ones(u.m) if weights is None else weights
-    return CostReport(
-        l0_support=support,
-        l1_cost=l1_cost(u),
-        weighted_l0=weighted_l0_cost(u, w, zero_tol),
-        clarke_cost=support - (u.b - u.a),
-    )
 
 
 # ---------------------------------------------------------------------------

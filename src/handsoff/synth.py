@@ -29,9 +29,9 @@ import numpy as np
 
 from . import lp
 from .certify import CertificateReport, certify as _certify
-from .control_law import TIE_TOL, AdjointParams
+from .control_law import AdjointParams, bang_off_bang, candidate_distance
 from .linalg import ExpKernel, zoh_block
-from .model import Ball, Box, PiecewiseConstantControl, Problem, l0_cost
+from .model import Ball, Box, PiecewiseConstantControl, Problem, Trajectory, l0_cost
 from .sim import breakpoint_mask, endpoint_residual, propagate_exact
 
 #: Segment durations below this fraction of the horizon are dropped when a
@@ -99,9 +99,11 @@ class TrialRecord:
 
 @dataclass(frozen=True)
 class SynthResult:
-    """Winning control, recovered multiplier and its certificate report."""
+    """Winning control, its trajectory, recovered multiplier and its
+    certificate report."""
 
     control: PiecewiseConstantControl
+    trajectory: Trajectory
     support: float
     certificate: AdjointParams | None
     report: CertificateReport | None
@@ -375,29 +377,6 @@ def _fit_structure(
     return durations[0], values[0], float(best_f)
 
 
-def solve_durations(
-    prob: Problem,
-    st: Structure,
-    init: np.ndarray | None = None,
-    starts: int = 20,
-    seed: int = 42,
-    stop_residual: float = 1e-10,
-    maxiter: int = 300,
-) -> tuple[np.ndarray, float]:
-    """Fit segment durations of a structure to the endpoint condition.
-
-    Minimizes the endpoint residual over the simplex of nonnegative
-    durations summing to the horizon (free direction angles appended for
-    ball "on" segments), by projected Nelder-Mead restarted from
-    ``starts`` Dirichlet-random splits of the horizon. Returns the best
-    (durations, residual); the caller decides what counts as feasible.
-    """
-    durations, _values, residual = _fit_structure(
-        prob, st, init, starts, seed, stop_residual, maxiter
-    )
-    return durations, residual
-
-
 def _assemble_control(
     prob: Problem, st: Structure, durations: np.ndarray, values: np.ndarray
 ) -> PiecewiseConstantControl:
@@ -531,6 +510,7 @@ def synth_l0(
     report = None if certificate is None else _certify(prob, certificate.eta, certificate.p_hat, control)
     return SynthResult(
         control=control,
+        trajectory=traj,
         support=float(support),
         certificate=certificate,
         report=report,
@@ -578,7 +558,7 @@ def recover_adjoint(
         if normalize:
             p = p / np.maximum(norms, 1e-12)
         s = np.einsum("nmd,pd->pnm", w_maps, p)
-        total = _candidate_distance(prob.U, s, u_samples, eta).sum(axis=1)
+        total = candidate_distance(prob.U, bang_off_bang(prob.U, s, eta), u_samples).sum(axis=1)
         if normalize:
             total = np.where(norms[:, 0] < 1e-9, np.inf, total)
         return total
@@ -624,13 +604,14 @@ def _crossing_least_squares(
 ) -> np.ndarray | None:
     """Terminal costate from the switching-threshold crossings of a control.
 
-    At an interior breakpoint where channel i moves between zero and a
-    saturation v, the switching value must sit on the threshold:
-    s_i(theta) * v = 1 in the normal case, s_i(theta) = 0 at an abnormal
-    sign change. Each condition is one linear equation in p_hat; the
-    least-squares solution of the stack is exact whenever the control
-    really is an extremal. Returns None when no transition yields an
-    equation (constant controls) so the caller falls back to the search.
+    At an interior breakpoint where the input moves between the zero
+    vector and a saturation v, the gain of the switching value must sit on
+    the threshold: <s(theta), v> = 1 in the normal case. At an abnormal
+    sign change of channel i, s_i(theta) = 0. Each condition is one linear
+    equation in p_hat; the least-squares solution of the stack is exact
+    whenever the control really is an extremal. Returns None when no
+    transition yields an equation (constant controls) so the caller falls
+    back to the search.
     """
     rows = []
     targets = []
@@ -639,64 +620,23 @@ def _crossing_least_squares(
     w_maps = np.matmul(prob.G.T, costate_flow(prob.b - control.breakpoints[1:-1]))
     for k in range(1, values.shape[0]):
         w_t = w_maps[k - 1]
-        for i in range(prob.m):
-            before, after = values[k - 1, i], values[k, i]
-            if before == after:
-                continue
-            if eta == 1:
-                off_to_bang = before == 0.0 or after == 0.0
-                if not off_to_bang:
-                    continue  # bang-to-bang jumps have no normal-case crossing
-                bang = after if before == 0.0 else before
+        before, after = values[k - 1], values[k]
+        if np.array_equal(before, after):
+            continue
+        if eta == 1:
+            if before.any() and after.any():
+                continue  # bang-to-bang jumps have no normal-case crossing
+            bang = before if before.any() else after
+            # <s, v> = 1 scaled so that the largest coefficient of v is 1:
+            # with one channel this is the equation s_i = 1 / v_i.
+            scale = bang[np.argmax(np.abs(bang))]
+            rows.append((bang / scale) @ w_t)
+            targets.append(1.0 / scale)
+        else:
+            for i in np.flatnonzero(np.sign(before) * np.sign(after) < 0.0):
                 rows.append(w_t[i])
-                targets.append(1.0 / bang)
-            else:
-                if before != 0.0 and after != 0.0 and np.sign(before) != np.sign(after):
-                    rows.append(w_t[i])
-                    targets.append(0.0)
+                targets.append(0.0)
     if not rows:
         return None
     solution, *_ = np.linalg.lstsq(np.asarray(rows), np.asarray(targets), rcond=None)
     return solution
-
-
-def _candidate_distance(u_set, s: np.ndarray, u_samples: np.ndarray, eta: int) -> np.ndarray:
-    """Distance from control samples to the bang-off-bang candidate set.
-
-    s: (batch, n, m) switching values; u_samples: (n, m).
-    Returns (batch, n) Euclidean distances, vectorized over both axes.
-    """
-    u = u_samples[None, :, :]
-    if isinstance(u_set, Box):
-        lo = u_set.lower[None, None, :]
-        hi = u_set.upper[None, None, :]
-        bang = np.where(s > 0, hi, lo)
-        gain = np.where(s > 0, s * hi, s * lo)
-        if eta == 1:
-            d_bang = np.abs(u - bang)
-            d_zero = np.abs(u)
-            dist = np.where(
-                gain > 1.0 + TIE_TOL,
-                d_bang,
-                np.where(gain < 1.0 - TIE_TOL, d_zero, np.minimum(d_bang, d_zero)),
-            )
-        else:
-            outside = np.maximum(lo - u, 0.0) + np.maximum(u - hi, 0.0)
-            dist = np.where(np.abs(s) <= TIE_TOL, outside, np.abs(u - bang))
-        return np.sqrt((dist**2).sum(axis=2))
-
-    radius = u_set.radius
-    s_norm = np.linalg.norm(s, axis=2)
-    bang = radius * s / np.maximum(s_norm, 1e-300)[:, :, None]
-    d_bang = np.linalg.norm(u - bang, axis=2)
-    d_zero = np.linalg.norm(u, axis=2)
-    gain = radius * s_norm
-    if eta == 1:
-        dist = np.where(
-            gain > 1.0 + TIE_TOL,
-            d_bang,
-            np.where(gain < 1.0 - TIE_TOL, d_zero, np.minimum(d_bang, d_zero)),
-        )
-        return np.where(s_norm <= TIE_TOL, d_zero, dist)
-    outside = np.maximum(d_zero - radius, 0.0)
-    return np.where(s_norm <= TIE_TOL, outside, d_bang)

@@ -9,13 +9,13 @@ from handsoff.control_law import (
     AdjointParams,
     adjoint_at,
     argmax_hamiltonian_bruteforce,
-    bang_off_bang_ball,
-    bang_off_bang_box,
+    bang_off_bang,
+    candidate_distance,
     candidates_at,
     pointwise_hamiltonian,
     switching_function,
 )
-from handsoff.model import Box
+from handsoff.model import Ball, Box, Problem
 
 
 class TestAdjointParams:
@@ -119,78 +119,106 @@ class TestPointwiseHamiltonian:
         assert shifted - linear == pytest.approx(p.sum(), abs=1e-12)
 
 
+def rule(u_set, s, eta):
+    return bang_off_bang(u_set, np.atleast_1d(np.asarray(s, dtype=float)), eta)
+
+
+def identity_plant(box):
+    """F = 0, G = I: the switching value is p_hat itself at every t."""
+    m = box.dim
+    return Problem(F=np.zeros((m, m)), G=np.eye(m), a=0.0, b=1.0, A=np.zeros(m), B=np.zeros(m), U=box)
+
+
 class TestBoxLaw:
     BOX = Box(np.array([-1.0]), np.array([1.0]))
 
-    def law(self, s, eta):
-        return bang_off_bang_box(np.atleast_1d(np.asarray(s, float)), eta, self.BOX)
-
     def test_saturates_above_threshold(self):
-        assert self.law(2.0, 1).channels[0].values == (1.0,)
+        r = rule(self.BOX, 2.0, 1)
+        assert r.on and not r.zero and r.bang.tolist() == [1.0]
 
     def test_off_inside_band(self):
-        assert self.law(0.5, 1).channels[0].values == (0.0,)
-        assert self.law(-0.99, 1).channels[0].values == (0.0,)
+        for s in (0.5, -0.99):
+            r = rule(self.BOX, s, 1)
+            assert r.zero and not r.on
 
     def test_tie_set_at_threshold(self):
-        assert self.law(1.0, 1).channels[0].values == (0.0, 1.0)
-        assert self.law(-1.0, 1).channels[0].values == (-1.0, 0.0) or self.law(-1.0, 1).channels[
-            0
-        ].values == (0.0, -1.0)
+        for s, bang in ((1.0, 1.0), (-1.0, -1.0)):
+            r = rule(self.BOX, s, 1)
+            assert r.zero and r.on and r.bang.tolist() == [bang]
 
     def test_abnormal_sign_rule(self):
-        assert self.law(-3.0, 0).channels[0].values == (-1.0,)
-        assert self.law(0.2, 0).channels[0].values == (1.0,)
+        for s, bang in ((-3.0, -1.0), (0.2, 1.0)):
+            r = rule(self.BOX, s, 0)
+            assert r.on and not r.zero and r.bang.tolist() == [bang] and not r.free.any()
 
     def test_abnormal_degenerate_channel(self):
-        chan = self.law(0.0, 0).channels[0]
-        assert chan.whole_interval
-        assert chan.distance(0.37) == 0.0
+        # At s = 0 the abnormal maximizer is the whole interval.
+        r = rule(self.BOX, 0.0, 0)
+        assert r.on and r.free.all()
+        assert candidate_distance(self.BOX, r, np.array([0.37])) == 0.0
+        assert candidate_distance(self.BOX, r, np.array([1.5])) == pytest.approx(0.5)
 
     def test_general_box_threshold_scaling(self):
         box = Box(np.array([-0.5]), np.array([2.0]))
-        # Saturation requires s * upper > 1, i.e. s > 0.5 on the high side.
-        assert bang_off_bang_box(np.array([0.6]), 1, box).channels[0].values == (2.0,)
-        assert bang_off_bang_box(np.array([0.4]), 1, box).channels[0].values == (0.0,)
-        # Low side: s * lower > 1 needs s < -2.
-        assert bang_off_bang_box(np.array([-2.5]), 1, box).channels[0].values == (-0.5,)
-        assert bang_off_bang_box(np.array([-1.5]), 1, box).channels[0].values == (0.0,)
+        # Saturation requires s * upper > 1, i.e. s > 0.5 on the high side;
+        # on the low side s * lower > 1 needs s < -2.
+        cases = ((0.6, True, 2.0), (0.4, False, 2.0), (-2.5, True, -0.5), (-1.5, False, -0.5))
+        for s, saturates, bang in cases:
+            r = rule(box, s, 1)
+            assert (bool(r.on), bool(r.zero)) == (saturates, not saturates)
+            assert r.bang.tolist() == [bang]
 
     def test_candidates_lie_in_set(self):
         rng = np.random.default_rng(211)
         box = Box(np.array([-1.0, -2.0]), np.array([1.5, 1.0]))
+        prob = identity_plant(box)
         for _ in range(200):
-            s = rng.uniform(-3.0, 3.0, 2)
-            eta = int(rng.integers(0, 2))
-            for vec in bang_off_bang_box(s, eta, box).vectors():
+            ap = AdjointParams(int(rng.integers(0, 2)), rng.uniform(-3.0, 3.0, 2))
+            for vec in candidates_at(prob, ap, 0.5).vectors():
                 assert box.contains(vec)
+
+    def test_vectorized_matches_pointwise(self):
+        rng = np.random.default_rng(223)
+        box = Box(np.array([-1.0, -2.0]), np.array([1.5, 1.0]))
+        s = rng.uniform(-2.0, 2.0, (7, 5, 2))
+        u = rng.uniform(-1.0, 1.0, (5, 2))
+        for eta in (0, 1):
+            stacked = bang_off_bang(box, s, eta)
+            dist = candidate_distance(box, stacked, u)
+            assert dist.shape == (7, 5)
+            for i, j in np.ndindex(7, 5):
+                single = bang_off_bang(box, s[i, j], eta)
+                assert single.gain == stacked.gain[i, j]
+                assert candidate_distance(box, single, u[j]) == dist[i, j]
 
 
 class TestBallLaw:
+    BALL = Ball(1.0)
+
     def test_off_inside_band(self):
-        c = bang_off_bang_ball(np.array([0.3, 0.4]), 1, 1.0)
-        assert c.points == (tuple(np.zeros(2)),)
+        r = rule(self.BALL, [0.3, 0.4], 1)
+        assert r.zero and not r.on
 
     def test_normalized_direction(self):
-        c = bang_off_bang_ball(np.array([3.0, 4.0]), 1, 1.0)
-        assert np.allclose(c.points[0], [0.6, 0.8])
+        r = rule(self.BALL, [3.0, 4.0], 1)
+        assert r.on and not r.zero and np.allclose(r.bang, [0.6, 0.8])
 
     def test_zero_switching_value(self):
-        c = bang_off_bang_ball(np.zeros(2), 1, 1.0)
-        assert np.allclose(c.points[0], 0.0) and not c.whole_ball
-        c0 = bang_off_bang_ball(np.zeros(2), 0, 1.0)
-        assert c0.whole_ball
+        r = rule(self.BALL, [0.0, 0.0], 1)
+        assert r.zero and not r.on
+        r0 = rule(self.BALL, [0.0, 0.0], 0)
+        assert r0.on and r0.free.all()
+        assert candidate_distance(self.BALL, r0, np.array([0.3, -0.5])) == 0.0
 
     def test_tie_keeps_both(self):
-        c = bang_off_bang_ball(np.array([1.0, 0.0]), 1, 1.0)
-        assert len(c.points) == 2
+        r = rule(self.BALL, [1.0, 0.0], 1)
+        assert r.zero and r.on
 
     def test_radius_scales_threshold(self):
-        # radius 2: saturation when 2 * ||w|| > 1.
-        c = bang_off_bang_ball(np.array([0.6, 0.0]), 1, 2.0)
-        assert np.allclose(c.points[0], [2.0, 0.0])
-        c2 = bang_off_bang_ball(np.array([0.4, 0.0]), 1, 2.0)
-        assert np.allclose(c2.points[0], [0.0, 0.0])
+        # radius 2: saturation when 2 * ||s|| > 1.
+        r = rule(Ball(2.0), [0.6, 0.0], 1)
+        assert r.on and not r.zero and np.allclose(r.bang, [2.0, 0.0])
+        assert rule(Ball(2.0), [0.4, 0.0], 1).zero
 
 
 class TestBruteForceOracle:
@@ -243,8 +271,21 @@ class TestBruteForceOracle:
 
     def test_off_band_unique_zero(self, ex2):
         rng = np.random.default_rng(313)
-        box = ex2.U
-        for _ in range(200):
-            s = rng.uniform(-1.0 + 1e-6, 1.0 - 1e-6, 1)
-            cands = bang_off_bang_box(s, 1, box)
-            assert [c.values for c in cands.channels] == [(0.0,)]
+        s = rng.uniform(-1.0 + 1e-6, 1.0 - 1e-6, (200, 1))
+        r = bang_off_bang(ex2.U, s, 1)
+        assert r.zero.all() and not r.on.any()
+
+    def test_two_channel_box_inside_argmax(self):
+        # The first draw is the whole-vector case: 0.6 per channel misses
+        # the unit threshold, but <s, (1, 1)> = 1.2 clears it.
+        rng = np.random.default_rng(401)
+        draws = [(np.array([0.6, 0.6]), 1, Box(-np.ones(2), np.ones(2)))]
+        for _ in range(150):
+            box = Box(-rng.uniform(0.3, 2.0, 2), rng.uniform(0.3, 2.0, 2))
+            draws.append((rng.uniform(-2.0, 2.0, 2), int(rng.integers(0, 2)), box))
+        for s, eta, box in draws:
+            prob = identity_plant(box)
+            ap = AdjointParams(eta, s)
+            brute = argmax_hamiltonian_bruteforce(prob, ap, np.zeros(2), 0.5, 201)
+            for vec in candidates_at(prob, ap, 0.5).vectors():
+                assert min(np.abs(vec - b).max() for b in brute) <= 1e-12, (s, eta, box, vec)

@@ -12,13 +12,11 @@ from handsoff.model import (
     PiecewiseConstantControl,
     Problem,
     ValidationError,
-    cost_report,
     l0_cost,
     l1_cost,
     load_control,
     load_problem,
     save_control,
-    weighted_l0_cost,
     zero_time,
 )
 
@@ -140,39 +138,21 @@ class TestL0Cost:
             assert l0_cost(grown) >= l0_cost(u)
 
     def test_clarke_cost_identity(self, ex2_control):
-        report = cost_report(ex2_control)
-        assert report.clarke_cost == pytest.approx(report.l0_support - 5.0, abs=1e-12)
-        assert report.l0_support == pytest.approx(3.0)
-        assert report.l1_cost == pytest.approx(3.0)
+        # The indicator-integral objective support - (b - a) is minus the zero time.
+        support = l0_cost(ex2_control)
+        assert support - 5.0 == pytest.approx(-zero_time(ex2_control), abs=1e-12)
+        assert support == pytest.approx(3.0)
+        assert l1_cost(ex2_control) == pytest.approx(3.0)
 
-
-class TestWeightedL0:
-    def test_matches_plain_cost_for_unit_weight(self, ex1_control):
-        assert weighted_l0_cost(ex1_control, [1.0]) == pytest.approx(3.0 / 5.0, abs=0)
-        assert weighted_l0_cost(ex1_control, [1.0]) == l0_cost(ex1_control) / 5.0
-
-    def test_zero_control(self):
-        u = PiecewiseConstantControl([0.0, 5.0], [[0.0, 0.0]])
-        assert weighted_l0_cost(u, [1.0, 2.0]) == 0.0
-
-    def test_two_channel_weighting(self):
-        # Channel 1 active for 1s, channel 2 for 2s on a 5s horizon.
+    def test_two_channel_support_is_whole_vector(self):
+        # Channel 1 is on for 1.5 s and channel 2 for 2 s, overlapping for
+        # 0.5 s: the support is the 3 s the input vector is nonzero, not
+        # the per-channel sum 3.5 s.
         u = PiecewiseConstantControl(
-            [0.0, 1.0, 3.0, 5.0],
-            [[1.0, 0.0], [0.0, 0.5], [0.0, 0.0]],
+            [0.0, 1.0, 1.5, 3.0, 5.0],
+            [[1.0, 0.0], [1.0, 0.5], [0.0, 0.5], [0.0, 0.0]],
         )
-        got = weighted_l0_cost(u, [1.0, 2.0])
-        assert got == pytest.approx((1.0 * 1.0 + 2.0 * 2.0) / 5.0, abs=1e-12)
-
-    def test_rejects_nonpositive_weight(self, ex1_control):
-        with pytest.raises(ValueError):
-            weighted_l0_cost(ex1_control, [0.0])
-
-    def test_random_consistency_with_plain_cost(self):
-        rng = np.random.default_rng(107)
-        for _ in range(50):
-            u = random_control(rng, 0.0, 4.0, m=1)
-            assert weighted_l0_cost(u, [1.0]) == pytest.approx(l0_cost(u) / 4.0, abs=1e-14)
+        assert l0_cost(u) == pytest.approx(3.0, abs=1e-12)
 
 
 class TestControlSerialization:

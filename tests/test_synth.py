@@ -9,11 +9,11 @@ from handsoff.sim import endpoint_residual, propagate_exact
 from handsoff.synth import (
     InfeasibleProblemError,
     Structure,
+    _fit_structure,
     _min_time_shortcut,
     enumerate_structures,
     min_time,
     recover_adjoint,
-    solve_durations,
     synth_l0,
 )
 
@@ -99,6 +99,12 @@ class TestEnumerateStructures:
         got = enumerate_structures(2, Ball(1.0), 2)
         assert Structure(("off", "on")) in got
         assert Structure(("on", "off")) in got
+
+
+def solve_durations(prob, st):
+    """Durations and endpoint residual of one structure fit (20 starts)."""
+    durations, _values, residual = _fit_structure(prob, st, None, 20, 42, 1e-10, 300)
+    return durations, residual
 
 
 class TestSolveDurations:
@@ -219,7 +225,7 @@ class TestRecoverAdjoint:
         # yields a candidate set containing all three control levels used
         # above. Abnormal multipliers live on the unit sphere, so for
         # eta = 0 only the two signs need scanning.
-        from handsoff.synth import _candidate_distance
+        from handsoff.control_law import bang_off_bang, candidate_distance
 
         u = PiecewiseConstantControl([0.0, 0.5, 4.0, 5.0], [[1.0], [-1.0], [0.0]])
         grid = np.linspace(0.05, 4.95, 197)
@@ -228,8 +234,25 @@ class TestRecoverAdjoint:
             s = np.broadcast_to(
                 p_values[:, None, None], (p_values.size, grid.size, 1)
             )
-            losses = _candidate_distance(ex1.U, s, samples, eta).sum(axis=1)
+            losses = candidate_distance(ex1.U, bang_off_bang(ex1.U, s, eta), samples).sum(axis=1)
             assert losses.min() > 1e-3
+
+    def test_two_channel_extremal(self):
+        # Double integrator with both channels actuated: (1, 1) until the
+        # whole-vector gain <s(t), (1, 1)> = 0.45 + 0.25 (5 - t) of the
+        # multiplier (0.25, 0.2) falls through 1 at t = 2.8, then off.
+        from handsoff.certify import certify
+
+        F = np.array([[0.0, 1.0], [0.0, 0.0]])
+        box = Box(np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
+        u = PiecewiseConstantControl([0.0, 2.8, 5.0], [[1.0, 1.0], [0.0, 0.0]])
+        free = Problem(F=F, G=np.eye(2), a=0.0, b=5.0, A=np.zeros(2), B=np.zeros(2), U=box)
+        end = propagate_exact(free, u).states[-1]
+        prob = Problem(F=F, G=np.eye(2), a=0.0, b=5.0, A=np.zeros(2), B=end, U=box)
+        assert certify(prob, 1, np.array([0.25, 0.2]), u).passed
+        ap = recover_adjoint(prob, u)
+        assert ap is not None and ap.eta == 1
+        assert certify(prob, ap.eta, ap.p_hat, u).passed
 
     def test_recovered_multiplier_certifies(self, ex1, ex2, ex1_control, ex2_control):
         from handsoff.certify import certify
