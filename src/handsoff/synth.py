@@ -13,11 +13,16 @@ threshold, the pointwise maximizer is a tie set for all time, and no
 costate determines the control. Duration optimization resolves the tie;
 shooting is demoted to certificate recovery (:func:`recover_adjoint`).
 
-Durations are found by projected Nelder-Mead restarted from Dirichlet
-draws of the duration simplex. All restarts advance in lockstep and every
-candidate vertex across restarts is evaluated in one vectorized endpoint
-computation, which keeps the exhaustive structure sweep fast without
-changing its semantics.
+Durations are fitted by the switching-time method (Kaya & Noakes): the
+endpoint is smooth in the segment durations, with the closed-form
+derivative ``dz(b)/dtheta_k = exp(F (b - theta_k)) G (v_{k-1} - v_k)`` in
+each switch time, so one exponential per segment gives the endpoint and
+its Jacobian. Projected Levenberg-Marquardt (Gauss-Newton with damping)
+solves for the head durations from Dirichlet draws of the duration
+simplex, all starts advanced in lockstep and evaluated in one vectorized
+computation; ball "on" directions join the same solve through the chain
+rule. A fit stops at the first start that meets the endpoint or once
+every start has stalled, which ends infeasible structures early.
 """
 
 from __future__ import annotations
@@ -89,12 +94,14 @@ def _is_off_label(label) -> bool:
 
 @dataclass(frozen=True)
 class TrialRecord:
-    """One structure's best duration fit during the search."""
+    """One structure's best duration fit during the search, with the
+    solver iterations it took."""
 
     structure: Structure
     residual: float
     support: float
     feasible: bool
+    iterations: int
 
 
 @dataclass(frozen=True)
@@ -155,18 +162,34 @@ def enumerate_structures(m: int, u_set: Box | Ball, k_max: int) -> list[Structur
 # ---------------------------------------------------------------------------
 
 
-def _endpoints(zoh: ExpKernel, z0: np.ndarray, values: np.ndarray, durations: np.ndarray) -> np.ndarray:
-    """Final states for a batch of candidates: values (batch, segments, m),
-    durations (batch, segments), ``zoh`` the kernel of the ZOH block."""
+def _endpoint_jacobian(
+    prob: Problem, zoh: ExpKernel, values: np.ndarray, durations: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Final states of a batch of candidates from A and their derivatives.
+
+    values (batch, segs, m), durations (batch, segs), ``zoh`` the kernel of
+    the problem's ZOH block. Returns the final states (batch, d), their derivatives in
+    the segment durations (batch, d, segs) and in the segment values
+    (batch, segs, d, m). Lengthening segment k by dt adds its end velocity
+    F z_{k+1} + G v_k times dt at its end, which the later segment maps Psi
+    carry to the final state; the value v_k enters the final state through
+    Psi B_d of segment k. One kernel call gives all of it.
+    """
     batch, segs, m = values.shape
-    d = z0.size
-    e = zoh(durations.reshape(-1))
-    a_d = e[:, :d, :d].reshape(batch, segs, d, d)
-    b_d = e[:, :d, d:].reshape(batch, segs, d, m)
-    z = np.broadcast_to(z0, (batch, d)).copy()
+    d = prob.d
+    e = zoh(durations.reshape(-1)).reshape(batch, segs, d + m, d + m)
+    a_d, b_d = e[..., :d, :d], e[..., :d, d:]
+    ends = np.empty((batch, segs, d))
+    z = np.broadcast_to(prob.A, (batch, d))
     for k in range(segs):
         z = np.einsum("pij,pj->pi", a_d[:, k], z) + np.einsum("pij,pj->pi", b_d[:, k], values[:, k])
-    return z
+        ends[:, k] = z
+    psi = np.empty((batch, segs, d, d))  # psi[:, k]: end of segment k -> final state
+    psi[:, -1] = np.eye(d)
+    for k in range(segs - 2, -1, -1):
+        psi[:, k] = psi[:, k + 1] @ a_d[:, k + 1]
+    velocity = ends @ prob.F.T + values @ prob.G.T
+    return z, np.einsum("pkij,pkj->pik", psi, velocity), psi @ b_d
 
 
 def _project_budget_rows(x: np.ndarray, total: float) -> np.ndarray:
@@ -196,6 +219,7 @@ def _lockstep_nelder_mead(
 ) -> tuple[np.ndarray, float]:
     """Multi-start Nelder-Mead with all restarts advanced in lockstep.
 
+    Used by :func:`recover_adjoint`, whose consistency loss is nonsmooth.
     ``fn`` maps a (points, n) array to (points,) objective values; each
     iteration evaluates the reflection/expansion/contraction candidates of
     every restart in a single call. Standard coefficients (reflect 1,
@@ -276,105 +300,155 @@ def _lockstep_nelder_mead(
 # ---------------------------------------------------------------------------
 
 
-def _box_labels(st: Structure) -> np.ndarray:
-    return np.array([list(lab) for lab in st.labels], dtype=float)
-
-
-def _ball_directions(angles: np.ndarray, m: int) -> np.ndarray:
-    """Unit vectors from (batch, m-1) angle blocks."""
+def _ball_directions(angles: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Unit vectors (batch, m) from (batch, m-1) angle blocks, and their
+    derivatives in the angles (batch, m, m-1)."""
     if m == 2:
-        return np.stack([np.cos(angles[:, 0]), np.sin(angles[:, 0])], axis=1)
+        c, s = np.cos(angles[:, 0]), np.sin(angles[:, 0])
+        return np.stack([c, s], axis=1), np.stack([-s, c], axis=1)[:, :, None]
     if m == 3:
-        polar, azimuth = angles[:, 0], angles[:, 1]
-        return np.stack(
-            [np.sin(polar) * np.cos(azimuth), np.sin(polar) * np.sin(azimuth), np.cos(polar)],
-            axis=1,
-        )
+        cp, sp = np.cos(angles[:, 0]), np.sin(angles[:, 0])
+        ca, sa = np.cos(angles[:, 1]), np.sin(angles[:, 1])
+        dirs = np.stack([sp * ca, sp * sa, cp], axis=1)
+        d_polar = np.stack([cp * ca, cp * sa, -sp], axis=1)
+        d_azimuth = np.stack([-sp * sa, sp * ca, np.zeros_like(sp)], axis=1)
+        return dirs, np.stack([d_polar, d_azimuth], axis=2)
     raise ValueError("free ball directions are supported for m in {2, 3} only")
+
+
+#: Damping of a Levenberg-Marquardt start, relative to the largest diagonal
+#: entry of its J^T J: the first value, the floor, and the value beyond
+#: which steps no longer move the start.
+_DAMPING_START = 1e-3
+_DAMPING_FLOOR = 1e-12
+_DAMPING_MAX = 1e10
+
+#: A start stalls after this many iterations in a row without an accepted
+#: step that lowers its residual by more than the relative _STALL_GAIN.
+_STALL_ITERATIONS = 5
+_STALL_GAIN = 1e-9
+
+
+def _structure_map(prob: Problem, st: Structure):
+    """The endpoint map of one structure in its free variables.
+
+    The free variables x are the head durations (the last segment takes
+    the rest of the horizon), then one angle block per ball "on" segment.
+    Returns (heads, n_free, evaluate); ``evaluate`` maps feasible points x
+    (batch, n_free) to durations, segment values, endpoint residual
+    vectors and their Jacobian in x (batch, d, n_free): duration columns
+    from :func:`_endpoint_jacobian`, angle columns by the chain rule
+    through the ZOH input block B_d r d(direction)/d(angle).
+    """
+    horizon = prob.horizon
+    segs = st.segments
+    heads = segs - 1
+    zoh = ExpKernel(zoh_block(prob.F, prob.G))
+    if any(lab in ("off", "on") for lab in st.labels):
+        if not isinstance(prob.U, Ball) or prob.m not in (2, 3):
+            raise ValueError("off/on labels require a ball input set with m in {2, 3}")
+        on_positions = [k for k, lab in enumerate(st.labels) if lab == "on"]
+        base_values = np.zeros((segs, prob.m))
+    else:
+        on_positions = []
+        base_values = np.array([list(lab) for lab in st.labels], dtype=float)
+    block = prob.m - 1
+    angles = [slice(heads + block * j, heads + block * (j + 1)) for j in range(len(on_positions))]
+    n_free = heads + block * len(on_positions)
+
+    def evaluate(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        batch = x.shape[0]
+        head = x[:, :heads]
+        durations = np.concatenate([head, np.maximum(horizon - head.sum(axis=1), 0.0)[:, None]], axis=1)
+        values = np.broadcast_to(base_values, (batch, segs, prob.m)).copy()
+        turns = []
+        for k, cols in zip(on_positions, angles):
+            dirs, d_dirs = _ball_directions(x[:, cols], prob.m)
+            values[:, k, :] = prob.U.radius * dirs
+            turns.append(prob.U.radius * d_dirs)
+        z_end, d_tau, d_val = _endpoint_jacobian(prob, zoh, values, durations)
+        jac = np.empty((batch, prob.d, n_free))
+        jac[:, :, :heads] = d_tau[:, :, :-1] - d_tau[:, :, -1:]
+        for k, cols, turn in zip(on_positions, angles, turns):
+            jac[:, :, cols] = d_val[:, k] @ turn
+        return durations, values, z_end - prob.B, jac
+
+    return heads, n_free, evaluate
 
 
 def _fit_structure(
     prob: Problem,
     st: Structure,
-    init: np.ndarray | None,
     starts: int,
     seed: int,
     stop_residual: float,
     maxiter: int,
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Optimize durations (and ball directions) of one structure.
+) -> tuple[np.ndarray, np.ndarray, float, int]:
+    """Fit the durations (and ball directions) of one structure to the endpoint.
 
-    Returns (durations, segment_values, residual)."""
+    Projected Levenberg-Marquardt on the free variables of
+    :func:`_structure_map`, from Dirichlet draws of the duration simplex
+    advanced in lockstep. Head durations stay in {x >= 0, sum(x) <= horizon}.
+    Stops when a start reaches ``stop_residual``, when every start has
+    stalled, or after ``maxiter`` iterations. Returns (durations,
+    segment_values, residual, iterations)."""
     horizon = prob.horizon
-    segs = st.segments
-    zoh = ExpKernel(zoh_block(prob.F, prob.G))
+    heads, n_free, evaluate = _structure_map(prob, st)
+    n_angles = n_free - heads
     rng = np.random.default_rng(seed)
 
-    is_ball = any(lab in ("off", "on") for lab in st.labels)
-    if is_ball:
-        if not isinstance(prob.U, Ball) or prob.m not in (2, 3):
-            raise ValueError("off/on labels require a ball input set with m in {2, 3}")
-        on_positions = [k for k, lab in enumerate(st.labels) if lab == "on"]
-        angle_block = prob.m - 1
-        n_angles = angle_block * len(on_positions)
-        radius = prob.U.radius
-        base_values = None
-    else:
-        on_positions = []
-        n_angles = 0
-        base_values = _box_labels(st)
-
-    n_free = segs - 1 + n_angles
-
-    def assemble(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        batch = x.shape[0]
-        if segs == 1:
-            durations = np.full((batch, 1), horizon)
-        else:
-            head = _project_budget_rows(x[:, : segs - 1], horizon)
-            durations = np.concatenate(
-                [head, np.maximum(horizon - head.sum(axis=1), 0.0)[:, None]], axis=1
-            )
-        if base_values is not None:
-            values = np.broadcast_to(base_values, (batch, segs, prob.m)).copy()
-        else:
-            values = np.zeros((batch, segs, prob.m))
-            for j, k in enumerate(on_positions):
-                block = x[:, segs - 1 + angle_block * j : segs - 1 + angle_block * (j + 1)]
-                values[:, k, :] = radius * _ball_directions(block, prob.m)
-        return durations, values
-
-    def objective(x: np.ndarray) -> np.ndarray:
-        durations, values = assemble(np.atleast_2d(x))
-        z_end = _endpoints(zoh, prob.A, values, durations)
-        return np.linalg.norm(z_end - prob.B, axis=1)
-
-    if n_free == 0:
-        x = np.zeros((1, 0))
-        durations, values = assemble(x)
-        return durations[0], values[0], float(objective(x)[0])
-
     rows = []
-    if init is not None:
-        init = np.asarray(init, dtype=float)
-        rows.append(list(init[: segs - 1]) + [0.0] * n_angles)
-    while len(rows) < starts:
-        split = rng.dirichlet(np.ones(segs)) * horizon
-        rows.append(list(split[: segs - 1]) + list(rng.uniform(0.0, np.pi, n_angles)))
-    x0 = np.asarray(rows, dtype=float)
+    for _ in range(starts if n_free else 1):
+        split = rng.dirichlet(np.ones(heads + 1)) * horizon
+        rows.append(list(split[:heads]) + list(rng.uniform(0.0, np.pi, n_angles)))
+    x = np.asarray(rows, dtype=float).reshape(len(rows), n_free)
+    durations, values, res, jac = evaluate(x)
+    f = np.linalg.norm(res, axis=1)
 
-    step = np.concatenate([np.full(segs - 1, 0.15 * horizon), np.full(n_angles, 0.6)])
-    best_x, best_f = _lockstep_nelder_mead(
-        objective,
-        x0,
-        initial_step=step,
-        maxiter=maxiter,
-        xatol=1e-11 * max(1.0, horizon),
-        fatol=1e-13,
-        stop_value=stop_residual,
-    )
-    durations, values = assemble(best_x[None, :])
-    return durations[0], values[0], float(best_f)
+    edge = MIN_SEGMENT * horizon
+    damping = np.full(x.shape[0], _DAMPING_START)
+    idle = np.zeros(x.shape[0], dtype=int)
+    live = np.full(x.shape[0], n_free > 0)
+    iterations = 0
+    while iterations < maxiter and f.min() > stop_residual and live.any():
+        iterations += 1
+        idx = np.flatnonzero(live)
+        jt = np.swapaxes(jac[idx], 1, 2)
+        grad = (jt @ res[idx][:, :, None])[:, :, 0]
+        # Faces of the duration simplex the descent direction presses
+        # against stay active: the step keeps those head durations at 0 and,
+        # when the last segment is at 0, the head sum at the horizon.
+        head, head_grad = x[idx, :heads], grad[:, :heads]
+        moving = np.ones((idx.size, n_free))
+        moving[:, :heads] = ~((head <= edge) & (head_grad > 0.0))
+        tangent = moving * (np.arange(n_free) < heads)
+        on_sum = (horizon - head.sum(axis=1) <= edge) & ((head_grad * tangent[:, :heads]).sum(axis=1) < 0)
+        pull = (on_sum / np.maximum(tangent.sum(axis=1), 1.0))[:, None, None]
+        face = moving[:, :, None] * np.eye(n_free) - pull * tangent[:, :, None] * tangent[:, None, :]
+        normal = face @ jt @ jac[idx] @ face
+        scale = np.maximum(np.diagonal(normal, axis1=1, axis2=2).max(axis=1), 1e-300)
+        normal += (damping[idx] * scale)[:, None, None] * np.eye(n_free)
+        step = np.linalg.solve(normal, -(face @ grad[:, :, None]))[:, :, 0]
+        # A near-singular system can ask for durations far beyond the
+        # horizon; shorten such steps to the horizon so that the projection
+        # works on numbers of the horizon's size.
+        longest = np.abs(step[:, :heads]).max(axis=1, initial=0.0)
+        trial = x[idx] + step * (horizon / np.maximum(longest, horizon))[:, None]
+        trial[:, :heads] = _project_budget_rows(trial[:, :heads], horizon)
+        t_durations, t_values, t_res, t_jac = evaluate(trial)
+        t_f = np.linalg.norm(t_res, axis=1)
+
+        better = t_f < f[idx]
+        gained = better & (f[idx] - t_f > _STALL_GAIN * f[idx])
+        took = idx[better]
+        x[took], durations[took], values[took] = trial[better], t_durations[better], t_values[better]
+        res[took], jac[took], f[took] = t_res[better], t_jac[better], t_f[better]
+        damping[idx] = np.where(better, np.maximum(damping[idx] / 3, _DAMPING_FLOOR), damping[idx] * 10)
+        idle[idx] = np.where(gained, 0, idle[idx] + 1)
+        live[idx] = (idle[idx] < _STALL_ITERATIONS) & (damping[idx] < _DAMPING_MAX)
+
+    best = int(np.argmin(f))
+    return durations[best], values[best], float(f[best]), iterations
 
 
 def _assemble_control(
@@ -473,10 +547,9 @@ def synth_l0(
     best_fit: tuple[Structure, np.ndarray, np.ndarray] | None = None
 
     for order, st in enumerate(structures):
-        durations, values, residual = _fit_structure(
+        durations, values, residual, iterations = _fit_structure(
             prob,
             st,
-            init=None,
             starts=starts,
             seed=seed + order,
             stop_residual=min(1e-10, 0.01 * feas_tol),
@@ -485,7 +558,7 @@ def synth_l0(
         control = _assemble_control(prob, st, durations, values)
         support = l0_cost(control, zero_tol)
         feasible = residual <= feas_tol
-        trials.append(TrialRecord(st, float(residual), float(support), bool(feasible)))
+        trials.append(TrialRecord(st, float(residual), float(support), bool(feasible), iterations))
         if not feasible:
             continue
         # Iteration order is sparsest-first, so within the tie window the

@@ -12,7 +12,7 @@ from handsoff.certify import (
     check_hamiltonian_max,
 )
 from handsoff.control_law import AdjointParams, adjoint_on_grid
-from handsoff.model import PiecewiseConstantControl, Problem
+from handsoff.model import Box, PiecewiseConstantControl, Problem
 from handsoff.sim import linear_dynamics, propagate_exact
 
 
@@ -32,6 +32,29 @@ class TestCheckAdjoint:
             prob = random_problem(rng, d=2, m=1)
             ap = AdjointParams(1, rng.uniform(-1.0, 1.0, 2))
             assert check_adjoint(prob, ap, grid_n=10001) <= 1e-6
+
+    def test_fast_plant_exact_extremal_certifies(self):
+        # Undamped oscillator at frequency 3 and p_hat = (0, 2): the switching
+        # value is s(t) = 2 cos(3 (b - t)), so the extremal is +1 / 0 / -1 with
+        # switches where |s| = 1. |F^3 p| = 54 puts the second-order stencil's
+        # truncation error h^2/6 |F^3 p| at 2.25e-6, above the tolerance.
+        w, b = 3.0, 5.0
+        f = np.array([[0.0, w], [-w, 0.0]])
+        g = np.array([[0.0], [1.0]])
+        box = Box(np.array([-1.0]), np.array([1.0]))
+        crossings = b - np.arange(14, 0, -1) * np.pi / (3.0 * w)
+        bps = np.concatenate([[0.0], crossings, [b]])
+        s = 2.0 * np.cos(w * (b - 0.5 * (bps[:-1] + bps[1:])))
+        u = PiecewiseConstantControl(bps, np.where(np.abs(s) > 1.0, np.sign(s), 0.0)[:, None])
+        start = np.array([1.0, 0.0])
+        free = Problem(F=f, G=g, a=0.0, b=b, A=start, B=np.zeros(2), U=box)
+        prob = Problem(F=f, G=g, a=0.0, b=b, A=start, B=propagate_exact(free, u).states[-1], U=box)
+
+        report = certify(prob, 1, np.array([0.0, 2.0]), u)
+        assert report.adjoint_residual <= 1e-9
+        assert report.passed and report.locally_optimal
+        for wrong in ([0.0, 2.2], [0.3, 2.0], [0.0, -2.0]):
+            assert not certify(prob, 1, np.array(wrong), u).passed
 
     def test_nonlinear_path_matches_linear(self, ex2, ex2_control):
         dyn = linear_dynamics(ex2)

@@ -37,6 +37,18 @@ class TestAdjointParams:
 
 
 class TestAdjointFlow:
+    def test_blocked_grid_matches_one_kernel_call(self):
+        from handsoff.control_law import GRID_BLOCK, adjoint_on_grid
+        from handsoff.linalg import ExpKernel
+
+        prob = random_problem(np.random.default_rng(5), d=4, m=1)
+        ap = AdjointParams(1, np.array([0.5, -1.0, 2.0, 0.25]))
+        grid = np.linspace(prob.a, prob.b, 3 * GRID_BLOCK + 17)
+        whole = ExpKernel(prob.F.T)(prob.b - grid) @ ap.p_hat
+        blocked = adjoint_on_grid(prob, ap, grid)
+        assert blocked.shape == whole.shape
+        assert np.abs(blocked - whole).max() <= 1e-14 * np.abs(whole).max()
+
     def test_terminal_value(self, ex2):
         ap = AdjointParams(1, np.array([0.3, -0.7]))
         assert np.allclose(adjoint_at(ex2, ap, ex2.b), ap.p_hat)
