@@ -36,5 +36,7 @@ print(f"eta=0, p_hat=(0, 0): nontriviality={trivial.nontriviality} (rejected out
 
 recovered = recover_adjoint(prob, control)
 print(f"\nrecover_adjoint found: eta={recovered.eta}, p_hat={recovered.p_hat}")
-print("Multiplier recovery inverts the pointwise law: it searches for a")
-print("terminal costate whose candidate sets contain the control everywhere.")
+print("Multiplier recovery inverts the pointwise law: at each switch the")
+print("switching value must sit on its threshold, which is linear in the")
+print("terminal costate; the solution is kept if its candidate sets contain")
+print("the control everywhere.")

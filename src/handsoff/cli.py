@@ -37,7 +37,13 @@ from .model import (
 from .problems import BUILTIN, nonsparse_l1_witness
 from .sim import endpoint_residual, propagate_exact, save_trajectory
 from .svgplot import Panel, render, step_points
-from .synth import InfeasibleProblemError, NoFeasibleStructureError, min_time, synth_l0
+from .synth import (
+    InfeasibleProblemError,
+    NoFeasibleStructureError,
+    StructureBudgetError,
+    min_time,
+    synth_l0,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -337,6 +343,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except StructureBudgetError as exc:
+        print(f"error: --kmax: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (InfeasibleProblemError, NoFeasibleStructureError) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)

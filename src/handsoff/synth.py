@@ -57,6 +57,10 @@ class NoFeasibleStructureError(RuntimeError):
     may be needed."""
 
 
+class StructureBudgetError(ValueError):
+    """The segment budget k_max enumerates too many structures to fit."""
+
+
 @dataclass(frozen=True)
 class Structure:
     """Candidate segment-label sequence.
@@ -145,7 +149,7 @@ def enumerate_structures(m: int, u_set: Box | Ball, k_max: int) -> list[Structur
     n_labels = len(labels)
     count = sum(n_labels * (n_labels - 1) ** (k - 1) for k in range(1, k_max + 1))
     if count > 10**6:
-        raise ValueError(f"structure budget too large: {count} sequences for m={m}, k_max={k_max}")
+        raise StructureBudgetError(f"{count} structures for m={m}, k_max={k_max} exceed 1e6")
 
     sequences: list[Structure] = []
     for k in range(1, k_max + 1):
@@ -206,93 +210,6 @@ def _project_budget_rows(x: np.ndarray, total: float) -> np.ndarray:
         tau = css[np.arange(rows.shape[0]), rho] / (rho + 1)
         clipped[over] = np.maximum(rows - tau[:, None], 0.0)
     return clipped
-
-
-def _lockstep_nelder_mead(
-    fn,
-    starts: np.ndarray,
-    initial_step: np.ndarray,
-    maxiter: int = 300,
-    xatol: float = 1e-11,
-    fatol: float = 1e-13,
-    stop_value: float = 0.0,
-) -> tuple[np.ndarray, float]:
-    """Multi-start Nelder-Mead with all restarts advanced in lockstep.
-
-    Used by :func:`recover_adjoint`, whose consistency loss is nonsmooth.
-    ``fn`` maps a (points, n) array to (points,) objective values; each
-    iteration evaluates the reflection/expansion/contraction candidates of
-    every restart in a single call. Standard coefficients (reflect 1,
-    expand 2, contract 1/2, shrink 1/2). Returns the best point found.
-    """
-    starts = np.atleast_2d(np.asarray(starts, dtype=float))
-    n_starts, dim = starts.shape
-    simplex = np.repeat(starts[:, None, :], dim + 1, axis=1)
-    for i in range(dim):
-        simplex[:, i + 1, i] += initial_step[i]
-    fvals = fn(simplex.reshape(-1, dim)).reshape(n_starts, dim + 1)
-
-    for _ in range(maxiter):
-        order = np.argsort(fvals, axis=1)
-        fvals = np.take_along_axis(fvals, order, axis=1)
-        simplex = np.take_along_axis(simplex, order[:, :, None], axis=1)
-
-        if float(fvals[:, 0].min()) <= stop_value:
-            break
-        f_spread = fvals[:, -1] - fvals[:, 0]
-        x_spread = np.abs(simplex - simplex[:, :1, :]).max(axis=(1, 2))
-        if np.all((f_spread <= fatol) & (x_spread <= xatol)):
-            break
-
-        centroid = simplex[:, :-1, :].mean(axis=1)
-        worst = simplex[:, -1, :]
-        direction = centroid - worst
-        candidates = np.stack(
-            [
-                centroid + direction,  # reflect
-                centroid + 2.0 * direction,  # expand
-                centroid + 0.5 * direction,  # outside contraction
-                centroid - 0.5 * direction,  # inside contraction
-            ]
-        )
-        f_cand = fn(candidates.reshape(-1, dim)).reshape(4, n_starts)
-        f_r, f_e, f_co, f_ci = f_cand
-        x_r, x_e, x_co, x_ci = candidates
-
-        f_best, f_second, f_worst = fvals[:, 0], fvals[:, -2], fvals[:, -1]
-        new_x = worst.copy()
-        new_f = f_worst.copy()
-
-        expand_zone = f_r < f_best
-        take_e = expand_zone & (f_e < f_r)
-        take_r = (expand_zone & ~take_e) | ((f_r >= f_best) & (f_r < f_second))
-        out_zone = (f_r >= f_second) & (f_r < f_worst)
-        take_co = out_zone & (f_co <= f_r)
-        in_zone = f_r >= f_worst
-        take_ci = in_zone & (f_ci < f_worst)
-        shrink = (out_zone & ~take_co) | (in_zone & ~take_ci)
-
-        for mask, xx, ff in (
-            (take_e, x_e, f_e),
-            (take_r, x_r, f_r),
-            (take_co, x_co, f_co),
-            (take_ci, x_ci, f_ci),
-        ):
-            new_x[mask] = xx[mask]
-            new_f[mask] = ff[mask]
-        simplex[:, -1, :] = np.where(shrink[:, None], simplex[:, -1, :], new_x)
-        fvals[:, -1] = np.where(shrink, fvals[:, -1], new_f)
-
-        if np.any(shrink):
-            idx = np.flatnonzero(shrink)
-            simplex[idx, 1:, :] = simplex[idx, :1, :] + 0.5 * (
-                simplex[idx, 1:, :] - simplex[idx, :1, :]
-            )
-            fvals[idx, 1:] = fn(simplex[idx, 1:, :].reshape(-1, dim)).reshape(idx.size, dim)
-
-    flat = int(np.argmin(fvals))
-    row, col = divmod(flat, fvals.shape[1])
-    return simplex[row, col].copy(), float(fvals[row, col])
 
 
 # ---------------------------------------------------------------------------
@@ -523,13 +440,15 @@ def synth_l0(
     Enumerates bang-off-bang structures sparsest first, fits durations for
     each, and returns the feasible candidate of minimal support measure
     (ties go to the earlier structure, then the smaller first breakpoint).
-    The winner is handed to :func:`recover_adjoint` and
-    :func:`handsoff.certify.certify`; a passing normal certificate marks
-    the result locally optimal, which for state-affine dynamics is exactly
-    the sufficiency condition.
+    A fit becomes the incumbent only once its assembled control, propagated
+    exactly, meets the endpoint within ``feas_tol``. The winner is handed
+    to :func:`recover_adjoint` and :func:`handsoff.certify.certify`; a
+    passing normal certificate marks the result locally optimal, which for
+    state-affine dynamics is exactly the sufficiency condition.
     """
     if k_max is None:
         k_max = 2 * prob.d + 1
+    structures = enumerate_structures(prob.m, prob.U, k_max)
     if isinstance(prob.U, Box):
         # One feasibility LP at the full horizon gives min_time's verdict
         # on the horizon without its bisection. Ball sets skip this gate:
@@ -541,10 +460,9 @@ def synth_l0(
                 "the minimum transfer time exceeds it (feasibility scaling > 1)"
             )
 
-    structures = enumerate_structures(prob.m, prob.U, k_max)
     trials: list[TrialRecord] = []
-    best_support: float | None = None
-    best_fit: tuple[Structure, np.ndarray, np.ndarray] | None = None
+    best_support = float("inf")
+    best: tuple[PiecewiseConstantControl, Trajectory, float] | None = None
 
     for order, st in enumerate(structures):
         durations, values, residual, iterations = _fit_structure(
@@ -556,35 +474,33 @@ def synth_l0(
             maxiter=300,
         )
         control = _assemble_control(prob, st, durations, values)
-        support = l0_cost(control, zero_tol)
+        support = float(l0_cost(control, zero_tol))
         feasible = residual <= feas_tol
-        trials.append(TrialRecord(st, float(residual), float(support), bool(feasible), iterations))
-        if not feasible:
-            continue
         # Iteration order is sparsest-first, so within the tie window the
         # earlier structure keeps the slot.
-        if best_support is None or support < best_support - SUPPORT_TIE:
-            best_support = float(support)
-            best_fit = (st, durations, values)
+        if feasible and support < best_support - SUPPORT_TIE:
+            # The fit's residual is of its raw durations; the assembled control must meet B.
+            traj = propagate_exact(prob, control)
+            reached = endpoint_residual(traj, prob.B)
+            if reached <= feas_tol:
+                best_support, best = support, (control, traj, reached)
+            else:
+                residual, feasible = reached, False
+        trials.append(TrialRecord(st, float(residual), support, bool(feasible), iterations))
 
-    if best_fit is None:
+    if best is None:
         raise NoFeasibleStructureError(
             f"no structure with up to {k_max} segments met the endpoint within {feas_tol:g}; "
             "try a larger k_max"
         )
 
-    st, durations, values = best_fit
-    control = _assemble_control(prob, st, durations, values)
-    traj = propagate_exact(prob, control)
-    residual = endpoint_residual(traj, prob.B)
-    support = l0_cost(control, zero_tol)
-
+    control, traj, residual = best
     certificate = recover_adjoint(prob, control, seed=seed)
     report = None if certificate is None else _certify(prob, certificate.eta, certificate.p_hat, control)
     return SynthResult(
         control=control,
         trajectory=traj,
-        support=float(support),
+        support=best_support,
         certificate=certificate,
         report=report,
         residual=float(residual),
@@ -592,30 +508,33 @@ def synth_l0(
     )
 
 
+#: Multipliers :func:`recover_adjoint` scores when no crossing candidate passes.
+_SCREEN_POINTS = 50
+
+
 def recover_adjoint(
     prob: Problem,
     control: PiecewiseConstantControl,
     grid_n: int = 1001,
     loss_tol: float = 1e-6,
-    starts: int = 50,
     seed: int = 42,
 ) -> AdjointParams | None:
-    """Search for a multiplier (eta, p_hat) consistent with a control.
+    """Find a multiplier (eta, p_hat) consistent with a control.
 
-    The consistency loss is the summed distance between the control
-    samples and the bang-off-bang candidate set implied by the switching
-    function. For box inputs the primary route is direct: every off/bang
-    transition of the control pins the switching value to its threshold
-    at that instant, and those crossing conditions are linear in the
-    terminal costate, so least squares recovers the exact multiplier.
-    When no transition system exists or its solution fails the loss test
-    (e.g. the control is not bang-off-bang shaped), a multi-start
-    Nelder-Mead search over the loss takes over.
+    The verdict is the consistency loss: the summed distance between the
+    control samples and the bang-off-bang candidate set implied by the
+    switching function, at most ``loss_tol``. For box inputs the
+    candidates come from the control's own transitions: each one pins the
+    switching function to a threshold at that instant, an equation linear
+    in p_hat (:func:`_crossing_least_squares`). Controls without such
+    equations, or whose solution fails the loss (constant bang controls,
+    ball inputs), are scored on a fixed screen instead: the signed unit
+    vectors, the normalized ones vector and seeded normals.
 
     Tries the normal case first, then the abnormal one restricted to the
-    unit sphere. Returns None when no multiplier reaches the loss
-    tolerance; that is a verdict (the control fails the maximum
-    principle), not an error.
+    unit sphere. Returns None when no candidate reaches the loss
+    tolerance; that is a verdict (no multiplier was found that makes the
+    control an extremal), not an error.
     """
     grid = np.linspace(prob.a, prob.b, grid_n)
     keep = breakpoint_mask(grid, control)
@@ -644,47 +563,35 @@ def recover_adjoint(
     for eta in (1, 0):
         normalize = eta == 0
         if isinstance(prob.U, Box):
-            p_direct = _crossing_least_squares(prob, control, eta, costate_flow)
-            if p_direct is not None and float(np.linalg.norm(p_direct)) >= 1e-9:
-                if float(loss_batch(p_direct[None, :], eta, normalize)[0]) <= loss_tol:
-                    return AdjointParams(eta, p_direct)
+            for p in _crossing_least_squares(prob, control, eta, costate_flow):
+                if np.linalg.norm(p) >= 1e-9 and loss_batch(p, eta, normalize)[0] <= loss_tol:
+                    return AdjointParams(eta, p)
 
         rows = [np.asarray(v, dtype=float) for v in deterministic]
-        while len(rows) < starts:
+        while len(rows) < _SCREEN_POINTS:
             rows.append(rng.normal(size=d) * rng.uniform(0.3, 5.0))
-        x0 = np.asarray(rows)
-
-        direct = loss_batch(x0, eta, normalize)
-        if float(direct.min()) <= loss_tol:
-            return AdjointParams(eta, x0[int(np.argmin(direct))])
-
-        best_x, best_f = _lockstep_nelder_mead(
-            lambda x: loss_batch(x, eta, normalize),
-            x0,
-            initial_step=np.full(d, 0.4),
-            maxiter=250,
-            xatol=1e-10,
-            fatol=1e-13,
-            stop_value=min(loss_tol * 1e-3, 1e-10),
-        )
-        if best_f <= loss_tol and float(np.linalg.norm(best_x)) >= 1e-9:
-            return AdjointParams(eta, best_x)
+        screen = np.asarray(rows)
+        losses = loss_batch(screen, eta, normalize)
+        if float(losses.min()) <= loss_tol:
+            return AdjointParams(eta, screen[int(np.argmin(losses))])
     return None
 
 
 def _crossing_least_squares(
     prob: Problem, control: PiecewiseConstantControl, eta: int, costate_flow: ExpKernel
-) -> np.ndarray | None:
-    """Terminal costate from the switching-threshold crossings of a control.
+) -> np.ndarray:
+    """Terminal costates from the switching-threshold crossings of a control.
 
     At an interior breakpoint where the input moves between the zero
     vector and a saturation v, the gain of the switching value must sit on
     the threshold: <s(theta), v> = 1 in the normal case. At an abnormal
     sign change of channel i, s_i(theta) = 0. Each condition is one linear
-    equation in p_hat; the least-squares solution of the stack is exact
-    whenever the control really is an extremal. Returns None when no
-    transition yields an equation (constant controls) so the caller falls
-    back to the search.
+    equation in p_hat. The normal candidate is the least-squares solution
+    of the stack, exact whenever the control really is a normal extremal.
+    The abnormal equations are homogeneous, so their candidates are the
+    unit vector of least squared residual (the last right-singular vector
+    of the stack) with both signs. Returns the candidates as rows (k, d),
+    none when no transition yields an equation (constant controls).
     """
     rows = []
     targets = []
@@ -706,10 +613,11 @@ def _crossing_least_squares(
             rows.append((bang / scale) @ w_t)
             targets.append(1.0 / scale)
         else:
-            for i in np.flatnonzero(np.sign(before) * np.sign(after) < 0.0):
-                rows.append(w_t[i])
-                targets.append(0.0)
+            rows.extend(w_t[np.sign(before) * np.sign(after) < 0.0])
     if not rows:
-        return None
-    solution, *_ = np.linalg.lstsq(np.asarray(rows), np.asarray(targets), rcond=None)
-    return solution
+        return np.empty((0, prob.d))
+    if eta == 1:
+        solution, *_ = np.linalg.lstsq(np.asarray(rows), np.asarray(targets), rcond=None)
+        return solution[None, :]
+    null = np.linalg.svd(np.asarray(rows))[2][-1]
+    return np.stack([null, -null])

@@ -203,6 +203,13 @@ class TestExampleCommand:
         assert main(["example", "ex9"]) == 1
         capsys.readouterr()
 
+    def test_kmax_beyond_structure_budget(self, tmp_path, capsys):
+        # --kmax 20 is in range but enumerates 3,145,725 structures for
+        # one channel: a usage error, not a traceback.
+        assert main(["example", "ex1", "--kmax", "20", "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: --kmax")
+
     def test_determinism_bit_identical(self, tmp_path, capsys):
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
         assert main(["example", "ex1", "--out", str(out1)]) == 0

@@ -270,6 +270,24 @@ class TestSynthL0:
         assert result.support <= 0.901608 + SUPPORT_TIE
         assert result.residual <= 1e-6
 
+    def test_misreported_fit_not_returned(self, ex1, monkeypatch):
+        # A fit that claims to meet the endpoint with the all-off structure
+        # (support 0) must be caught by propagating its control.
+        from handsoff import synth
+
+        real_fit = synth._fit_structure
+
+        def lying_fit(prob, st, *args, **kwargs):
+            durations, values, residual, iterations = real_fit(prob, st, *args, **kwargs)
+            return durations, values, 0.0 if st.n_on == 0 else residual, iterations
+
+        monkeypatch.setattr(synth, "_fit_structure", lying_fit)
+        result = synth_l0(ex1)
+        assert result.support == pytest.approx(3.0, abs=1e-6)
+        assert result.residual <= 1e-6
+        off = result.trials[0]
+        assert off.structure.n_on == 0 and not off.feasible and off.residual > 1e-6
+
     def test_sweep_iteration_budget(self, ex1_synth, ex2_synth):
         # Solver iterations are deterministic, so a convergence regression
         # shows here without timing noise (measured: 67 and 1,038).
@@ -340,6 +358,24 @@ class TestRecoverAdjoint:
         assert ap is not None and ap.eta == 1
         assert certify(prob, ap.eta, ap.p_hat, u).passed
 
+    def test_abnormal_bang_bang_extremal(self):
+        # Double integrator, +1 then -1 with no off arc: only an abnormal
+        # switching function s(t) = (2 - t) p_1 + p_2, zero at the switch
+        # t = 1, admits it, so the multiplier is the null vector (1, -1)/sqrt(2).
+        from handsoff.certify import certify
+
+        F = np.array([[0.0, 1.0], [0.0, 0.0]])
+        G = np.array([[0.0], [1.0]])
+        u = PiecewiseConstantControl([0.0, 1.0, 2.0], [[1.0], [-1.0]])
+        free = Problem(F=F, G=G, a=0.0, b=2.0, A=np.zeros(2), B=np.zeros(2), U=UNIT_BOX)
+        end = propagate_exact(free, u).states[-1]
+        prob = Problem(F=F, G=G, a=0.0, b=2.0, A=np.zeros(2), B=end, U=UNIT_BOX)
+        ap = recover_adjoint(prob, u)
+        assert ap is not None and ap.eta == 0
+        assert np.abs(ap.p_hat - np.array([1.0, -1.0]) / np.sqrt(2.0)).max() <= 1e-12
+        report = certify(prob, ap.eta, ap.p_hat, u)
+        assert report.passed and not report.locally_optimal
+
     def test_recovered_multiplier_certifies(self, ex1, ex2, ex1_control, ex2_control):
         from handsoff.certify import certify
 
@@ -374,53 +410,6 @@ class TestRecoverAdjoint:
 
 
 class TestOptimizerInternals:
-    def test_lockstep_nm_quadratic(self):
-        from handsoff.synth import _lockstep_nelder_mead
-
-        target = np.array([0.7, -1.3, 0.2])
-
-        def fn(x):
-            return ((x - target) ** 2).sum(axis=1)
-
-        rng = np.random.default_rng(811)
-        best_x, best_f = _lockstep_nelder_mead(
-            fn, rng.normal(size=(8, 3)), initial_step=np.full(3, 0.5), maxiter=400
-        )
-        assert best_f < 1e-12
-        assert np.abs(best_x - target).max() < 1e-6
-
-    def test_lockstep_nm_cone(self):
-        # Norm-of-affine objectives (the endpoint residual's shape) have a
-        # nonsmooth minimum; the simplex method must still grind in.
-        from handsoff.synth import _lockstep_nelder_mead
-
-        target = np.array([2.0, -0.5])
-
-        def fn(x):
-            return np.linalg.norm(x - target, axis=1)
-
-        rng = np.random.default_rng(813)
-        _, best_f = _lockstep_nelder_mead(
-            fn, rng.normal(size=(10, 2)), initial_step=np.full(2, 0.4), maxiter=400
-        )
-        assert best_f < 1e-8
-
-    def test_lockstep_nm_early_stop(self):
-        from handsoff.synth import _lockstep_nelder_mead
-
-        calls = {"n": 0}
-
-        def fn(x):
-            calls["n"] += 1
-            return (x**2).sum(axis=1)
-
-        starts = np.vstack([np.zeros(2), np.full((5, 2), 3.0)])
-        _, best_f = _lockstep_nelder_mead(
-            fn, starts, initial_step=np.full(2, 0.3), maxiter=400, stop_value=1e-6
-        )
-        assert best_f <= 1e-6
-        assert calls["n"] <= 3  # the zero start satisfies the target immediately
-
     def test_budget_projection_properties(self):
         from handsoff.synth import _project_budget_rows
 
