@@ -9,7 +9,14 @@ computed by an exact-discretization linear program.
 
 __version__ = "0.1.0"
 
-from .certify import CertificateReport, certify, check_adjoint, check_constancy, check_hamiltonian_max
+from .certify import (
+    CertificateReport,
+    certify,
+    check_adjoint,
+    check_constancy,
+    check_hamiltonian_max,
+    dual_bound,
+)
 from .control_law import (
     AdjointParams,
     Candidates,
@@ -90,6 +97,7 @@ __all__ = [
     "check_constancy",
     "check_hamiltonian_max",
     "discretize_zoh",
+    "dual_bound",
     "endpoint_residual",
     "enumerate_structures",
     "example_1",

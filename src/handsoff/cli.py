@@ -162,12 +162,20 @@ def _solve_l0_artifacts(prob, result, out: Path, stem: str, plot: bool) -> None:
         "p_hat": [float(x) for x in result.certificate.p_hat] if result.certificate else None,
         "certified": result.certified,
         "locally_optimal": result.locally_optimal,
+        "lower_bound": _finite_or_none(result.lower_bound),
+        "gap": _finite_or_none(result.gap),
+        "globally_optimal": result.globally_optimal,
     }
     (out / f"{stem}_l0_solution.json").write_text(json.dumps(sidecar, indent=2) + "\n")
     if result.report is not None:
         (out / f"{stem}_l0_certificate.json").write_text(result.report.to_json() + "\n")
     if plot:
         _render_solution_svg(prob, result, out / f"{stem}_l0.svg")
+
+
+def _finite_or_none(x: float) -> float | None:
+    """JSON has no infinities; a missing bound is written as null."""
+    return float(x) if np.isfinite(x) else None
 
 
 def _render_solution_svg(prob, result, path):
@@ -199,6 +207,8 @@ def cmd_solve_l0(args) -> int:
     print(f"endpoint_residual={result.residual:.6e}")
     print(f"certified={str(result.certified).lower()}")
     print(f"locally_optimal={str(result.locally_optimal).lower()}")
+    print(f"lower_bound={result.lower_bound:.9f}")
+    print(f"gap={result.gap:.6e}")
     return EXIT_OK
 
 
@@ -275,6 +285,8 @@ def cmd_example(args) -> int:
     print(f"l0_endpoint_residual={result.residual:.6e}")
     print(f"l0_certified={str(result.certified).lower()}")
     print(f"l0_locally_optimal={str(result.locally_optimal).lower()}")
+    print(f"l0_lower_bound={result.lower_bound:.9f}")
+    print(f"l0_gap={result.gap:.6e}")
 
     l1_control, l1_cost_value = l1_solve(prob, args.intervals)
     save_control(l1_control, out / f"{args.name}_l1_control.csv")

@@ -23,6 +23,14 @@ simplex, all starts advanced in lockstep and evaluated in one vectorized
 computation; ball "on" directions join the same solve through the chain
 rule. A fit stops at the first start that meets the endpoint or once
 every start has stalled, which ends infeasible structures early.
+
+The sweep stops as soon as the incumbent is certified globally optimal.
+Every terminal costate p gives a Lagrange dual lower bound g(p) on the
+support of every feasible control (:func:`handsoff.certify.dual_bound`);
+the crossing equations of each new incumbent give a candidate p. Once the
+incumbent's support is within SUPPORT_TIE / 2 of the best bound, no later
+structure can undercut it by the SUPPORT_TIE a takeover needs, so the
+remaining structures are recorded as pruned instead of fitted.
 """
 
 from __future__ import annotations
@@ -33,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lp
-from .certify import CertificateReport, certify as _certify
+from .certify import CertificateReport, certify as _certify, dual_bound
 from .control_law import AdjointParams, bang_off_bang, candidate_distance
 from .linalg import ExpKernel, zoh_block
 from .model import Ball, Box, PiecewiseConstantControl, Problem, Trajectory, l0_cost
@@ -99,19 +107,22 @@ def _is_off_label(label) -> bool:
 @dataclass(frozen=True)
 class TrialRecord:
     """One structure's best duration fit during the search, with the
-    solver iterations it took."""
+    solver iterations it took. A pruned structure was never fitted: the
+    sweep stopped before it (residual and support are nan)."""
 
     structure: Structure
     residual: float
     support: float
     feasible: bool
     iterations: int
+    pruned: bool = False
 
 
 @dataclass(frozen=True)
 class SynthResult:
-    """Winning control, its trajectory, recovered multiplier and its
-    certificate report."""
+    """Winning control, its trajectory, recovered multiplier, its
+    certificate report, and the best dual lower bound on the support of
+    any feasible control (-inf when no multiplier gave one)."""
 
     control: PiecewiseConstantControl
     trajectory: Trajectory
@@ -120,6 +131,7 @@ class SynthResult:
     report: CertificateReport | None
     residual: float
     trials: tuple[TrialRecord, ...]
+    lower_bound: float
 
     @property
     def certified(self) -> bool:
@@ -128,6 +140,15 @@ class SynthResult:
     @property
     def locally_optimal(self) -> bool:
         return self.report is not None and self.report.locally_optimal
+
+    @property
+    def gap(self) -> float:
+        """Duality gap: how far the support may lie above the optimum."""
+        return self.support - self.lower_bound
+
+    @property
+    def globally_optimal(self) -> bool:
+        return self.gap <= SUPPORT_TIE
 
 
 def enumerate_structures(m: int, u_set: Box | Ball, k_max: int) -> list[Structure]:
@@ -151,14 +172,24 @@ def enumerate_structures(m: int, u_set: Box | Ball, k_max: int) -> list[Structur
     if count > 10**6:
         raise StructureBudgetError(f"{count} structures for m={m}, k_max={k_max} exceed 1e6")
 
-    sequences: list[Structure] = []
-    for k in range(1, k_max + 1):
-        for combo in itertools.product(labels, repeat=k):
-            if any(a == b for a, b in zip(combo, combo[1:])):
-                continue
-            sequences.append(Structure(combo))
-    sequences.sort(key=lambda st: (st.n_on, st.segments))  # stable: keeps lex order in ties
-    return sequences
+    # Label indices of every length-k sequence, in the lexicographic order
+    # of the label product: each row is extended by every label but its
+    # last one, in label order (index j + (j >= last) skips the last).
+    rows = [np.arange(n_labels, dtype=np.min_scalar_type(n_labels))[:, None]]
+    skip = rows[0][:-1, 0]
+    for _ in range(1, k_max):
+        prev = rows[-1]
+        nxt = skip[None, :] + (skip[None, :] >= prev[:, -1:])
+        rows.append(np.column_stack([np.repeat(prev, n_labels - 1, axis=0), nxt.ravel()]))
+    on_label = np.array([not _is_off_label(lab) for lab in labels])
+    on_counts = [on_label[r].sum(axis=1) for r in rows]
+    # Sparsest first: by on-segment count, then length, then generation order.
+    return [
+        Structure(tuple(labels[i] for i in row))
+        for n_on in range(k_max + 1)
+        for r, counts in zip(rows, on_counts)
+        for row in r[counts == n_on].tolist()
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -439,12 +470,26 @@ def synth_l0(
 
     Enumerates bang-off-bang structures sparsest first, fits durations for
     each, and returns the feasible candidate of minimal support measure
-    (ties go to the earlier structure, then the smaller first breakpoint).
-    A fit becomes the incumbent only once its assembled control, propagated
-    exactly, meets the endpoint within ``feas_tol``. The winner is handed
-    to :func:`recover_adjoint` and :func:`handsoff.certify.certify`; a
-    passing normal certificate marks the result locally optimal, which for
+    (within SUPPORT_TIE, ties go to the earlier structure). A fit becomes
+    the incumbent only once its assembled control, propagated exactly,
+    meets the endpoint within ``feas_tol``. The winner is handed to
+    :func:`recover_adjoint` and :func:`handsoff.certify.certify`; a passing
+    normal certificate marks the result locally optimal, which for
     state-affine dynamics is exactly the sufficiency condition.
+
+    For box inputs each new incumbent's normal crossing equations
+    (:func:`_crossing_least_squares`) give a terminal costate, and
+    :func:`handsoff.certify.dual_bound` at it a lower bound on the support
+    of every feasible control; ``lower_bound`` keeps the best one, also
+    taken at the certificate's multiplier when that is normal. The sweep
+    stops once the incumbent's support is at most ``lower_bound +
+    SUPPORT_TIE / 2`` and records the remaining structures as pruned. The
+    stop cannot change the winner: by weak duality a later exact fit has
+    support at least ``lower_bound``, so it cannot undercut the incumbent
+    by the SUPPORT_TIE a takeover needs, and ties stay with the earlier
+    structure. One caveat: a fit feasible only to ``feas_tol`` may undercut
+    the bound g(p) by up to ||p|| * ``feas_tol``, so a later fit that the
+    full sweep would have preferred by that margin is not tried.
     """
     if k_max is None:
         k_max = 2 * prob.d + 1
@@ -462,9 +507,14 @@ def synth_l0(
 
     trials: list[TrialRecord] = []
     best_support = float("inf")
+    lower_bound = float("-inf")
     best: tuple[PiecewiseConstantControl, Trajectory, float] | None = None
+    costate_flow = ExpKernel(prob.F.T)
 
     for order, st in enumerate(structures):
+        if best_support <= lower_bound + SUPPORT_TIE / 2:
+            trials.append(TrialRecord(st, float("nan"), float("nan"), False, 0, pruned=True))
+            continue
         durations, values, residual, iterations = _fit_structure(
             prob,
             st,
@@ -484,6 +534,9 @@ def synth_l0(
             reached = endpoint_residual(traj, prob.B)
             if reached <= feas_tol:
                 best_support, best = support, (control, traj, reached)
+                if isinstance(prob.U, Box):
+                    for p in _crossing_least_squares(prob, control, 1, costate_flow):
+                        lower_bound = max(lower_bound, dual_bound(prob, p))
             else:
                 residual, feasible = reached, False
         trials.append(TrialRecord(st, float(residual), support, bool(feasible), iterations))
@@ -497,6 +550,8 @@ def synth_l0(
     control, traj, residual = best
     certificate = recover_adjoint(prob, control, seed=seed)
     report = None if certificate is None else _certify(prob, certificate.eta, certificate.p_hat, control)
+    if certificate is not None and certificate.eta == 1:
+        lower_bound = max(lower_bound, dual_bound(prob, certificate.p_hat))
     return SynthResult(
         control=control,
         trajectory=traj,
@@ -505,6 +560,7 @@ def synth_l0(
         report=report,
         residual=float(residual),
         trials=tuple(trials),
+        lower_bound=lower_bound,
     )
 
 

@@ -3,17 +3,24 @@ constancy, nontriviality, and the assembled verdicts."""
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+from scipy.integrate import quad
+from scipy.linalg import expm
+from scipy.optimize import brentq
 
-from conftest import random_problem
+from conftest import random_control, random_problem
 from handsoff.certify import (
     certify,
     check_adjoint,
     check_constancy,
     check_hamiltonian_max,
+    dual_bound,
 )
 from handsoff.control_law import AdjointParams, adjoint_on_grid
-from handsoff.model import Box, PiecewiseConstantControl, Problem
-from handsoff.sim import linear_dynamics, propagate_exact
+from handsoff.lp import l1_solve
+from handsoff.model import Ball, Box, PiecewiseConstantControl, Problem, l0_cost
+from handsoff.sim import endpoint_residual, linear_dynamics, propagate_exact
+from handsoff.synth import NoFeasibleStructureError, synth_l0
 
 
 class TestCheckAdjoint:
@@ -231,3 +238,116 @@ def test_synth_outputs_certify(ex1, ex2, ex1_synth, ex2_synth):
         assert result.certificate is not None
         report = certify(prob, result.certificate.eta, result.certificate.p_hat, result.control)
         assert report.passed
+
+
+def quadrature_bound(prob: Problem, p: np.ndarray) -> float:
+    """The dual bound by scipy: expm for the costate, a fine scan refined by
+    brentq for the crossings sigma_U(s) = 1 and the box kinks s_i = 0, and
+    quad on every piece between them."""
+
+    def switching(t):
+        return prob.G.T @ expm(prob.F.T * (prob.b - t)) @ p
+
+    def roots(s):
+        if isinstance(prob.U, Box):
+            sigma = np.maximum(prob.U.upper * s, prob.U.lower * s).sum(axis=-1)
+            return np.column_stack([sigma - 1.0, s])
+        return (prob.U.radius * np.linalg.norm(s, axis=-1) - 1.0)[:, None]
+
+    scan = np.linspace(prob.a, prob.b, 4001)
+    values = roots((expm(prob.F.T[None] * (prob.b - scan)[:, None, None]) @ p) @ prob.G)
+    points = [prob.a, prob.b]
+    for j, col in enumerate(values.T):
+        for k in np.flatnonzero(np.sign(col[:-1]) != np.sign(col[1:])):
+            points.append(brentq(lambda t: roots(switching(t)[None])[0, j], scan[k], scan[k + 1], xtol=1e-15))
+    points = np.unique(points)
+    excess = sum(
+        quad(lambda t: max(0.0, roots(switching(t)[None])[0, 0]), lo, hi, epsabs=1e-13, epsrel=1e-13)[0]
+        for lo, hi in zip(points[:-1], points[1:])
+    )
+    return float(p @ (prob.B - expm(prob.F * prob.horizon) @ prob.A)) - excess
+
+
+def with_input_set(prob: Problem, u_set) -> Problem:
+    return Problem(F=prob.F, G=prob.G, a=prob.a, b=prob.b, A=prob.A, B=prob.B, U=u_set)
+
+
+class TestDualBound:
+    @pytest.mark.parametrize("family", ["box1", "box2", "ball"])
+    def test_matches_quadrature(self, family):
+        rng = np.random.default_rng({"box1": 701, "box2": 702, "ball": 703}[family])
+        for _ in range(3):
+            d = int(rng.integers(2, 4))
+            m = 1 if family == "box1" else 2
+            prob = random_problem(rng, d=d, m=m)
+            if family == "box2":
+                prob = with_input_set(prob, Box(-rng.uniform(0.3, 2.0, 2), rng.uniform(0.3, 2.0, 2)))
+            elif family == "ball":
+                prob = with_input_set(prob, Ball(float(rng.uniform(0.5, 2.0))))
+            p = rng.normal(size=d) * 2.0
+            ref = quadrature_bound(prob, p)
+            assert dual_bound(prob, p) == pytest.approx(ref, abs=1e-10 * max(1.0, abs(ref)))
+
+    def test_two_channel_extremal_support(self):
+        # The extremal of test_two_channel_extremal (test_synth.py): (1, 1)
+        # until t = 2.8, then off, with multiplier (0.25, 0.2).
+        F = np.array([[0.0, 1.0], [0.0, 0.0]])
+        box = Box(np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
+        u = PiecewiseConstantControl([0.0, 2.8, 5.0], [[1.0, 1.0], [0.0, 0.0]])
+        free = Problem(F=F, G=np.eye(2), a=0.0, b=5.0, A=np.zeros(2), B=np.zeros(2), U=box)
+        prob = Problem(F=F, G=np.eye(2), a=0.0, b=5.0, A=np.zeros(2), B=propagate_exact(free, u).states[-1], U=box)
+        assert certify(prob, 1, np.array([0.25, 0.2]), u).passed
+        assert dual_bound(prob, np.array([0.25, 0.2])) == pytest.approx(2.8, abs=1e-9)
+
+    def test_certified_benchmarks_close_the_gap(self, ex1, ex2, ex1_synth, ex2_synth):
+        # Both benchmarks are singular: sigma_U(s) rides the threshold for
+        # the whole horizon, within roundoff of the recovered multiplier.
+        for prob, result in ((ex1, ex1_synth), (ex2, ex2_synth)):
+            assert result.certified and result.certificate.eta == 1
+            assert dual_bound(prob, result.certificate.p_hat) == pytest.approx(result.support, abs=1e-9)
+        for jitter in (-1e-15, 0.0, 1e-15):
+            assert dual_bound(ex2, np.array([jitter, 1.0 + jitter])) == pytest.approx(3.0, abs=1e-12)
+
+    def test_rejects_wrong_dimension(self, ex2):
+        with pytest.raises(ValueError):
+            dual_bound(ex2, np.array([1.0]))
+
+
+def _weak_duality_case(seed: int, d: int) -> tuple[Problem, float, float]:
+    """A feasible box plant (B is the endpoint of a random admissible
+    control), the support of its cleaned L1 vertex control with that
+    control's endpoint miss."""
+    rng = np.random.default_rng(seed)
+    free = random_problem(rng, d=d, m=1)
+    u = random_control(rng, free.a, free.b)
+    prob = Problem(F=free.F, G=free.G, a=free.a, b=free.b, A=free.A, B=propagate_exact(free, u).states[-1], U=free.U)
+    vertex, _ = l1_solve(prob, 200)
+    clean = PiecewiseConstantControl(vertex.breakpoints, np.where(np.abs(vertex.values) > 1e-9, vertex.values, 0.0))
+    return prob, float(l0_cost(clean)), float(endpoint_residual(propagate_exact(prob, clean), prob.B))
+
+
+@pytest.fixture(scope="module")
+def weak_duality_cases():
+    cases = []
+    for seed, d in ((811, 1), (812, 2), (813, 2), (814, 3), (815, 3)):
+        prob, vertex_support, vertex_miss = _weak_duality_case(seed, d)
+        try:
+            synth = synth_l0(prob, k_max=3)
+        except NoFeasibleStructureError:
+            synth = None
+        cases.append((prob, vertex_support, vertex_miss, synth))
+    return cases
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
+@given(case=st.integers(0, 4), raw=st.lists(st.floats(-4.0, 4.0), min_size=3, max_size=3))
+def test_weak_duality(weak_duality_cases, case, raw):
+    # A control that misses B by r has support >= g(p) - <p, r>.
+    prob, vertex_support, vertex_miss, synth = weak_duality_cases[case]
+    p = np.array(raw[: prob.d])
+    bound = dual_bound(prob, p)
+    norm = float(np.linalg.norm(p))
+    assert bound <= vertex_support + norm * vertex_miss + 1e-9
+    if synth is not None:
+        assert bound <= synth.support + norm * synth.residual + 1e-9
+        assert synth.lower_bound <= synth.support + 1e-9

@@ -199,6 +199,17 @@ class TestExampleCommand:
         capsys.readouterr()
         assert code2 == 0
 
+    def test_benchmarks_report_closed_gap(self, capsys, tmp_path, ex1_file, ex2_run):
+        code, kv = _run(capsys, ["solve-l0", str(ex1_file), "--out", str(tmp_path)])
+        _, ex2_kv, ex2_out = ex2_run
+        assert code == 0
+        for gap, bound in ((kv["gap"], kv["lower_bound"]), (ex2_kv["l0_gap"], ex2_kv["l0_lower_bound"])):
+            assert abs(float(gap)) <= 1e-9 and float(bound) == pytest.approx(3.0, abs=1e-9)
+        for sidecar in (tmp_path / "ex1_l0_solution.json", ex2_out / "ex2_l0_solution.json"):
+            data = json.loads(sidecar.read_text())
+            assert abs(data["gap"]) <= 1e-9 and data["globally_optimal"] is True
+            assert data["lower_bound"] == pytest.approx(3.0, abs=1e-9)
+
     def test_unknown_example_name(self, capsys):
         assert main(["example", "ex9"]) == 1
         capsys.readouterr()

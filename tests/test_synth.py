@@ -1,6 +1,8 @@
 """Structure enumeration, duration fitting, sparsest-first synthesis, and
 multiplier recovery on the benchmark tasks."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -49,11 +51,24 @@ class TestMinTime:
         assert min_time(short) == np.inf
 
 
-def d3_plant() -> Problem:
+def d3_plant(seed: int = 0) -> Problem:
+    """The ROADMAP d=3 plant; another seed perturbs every entry of F, G
+    and A by at most 0.01, like the benchmark's sparse_d3 family."""
     rng = np.random.default_rng(0)
     f = rng.uniform(-1, 1, (3, 3)) - 1.5 * np.eye(3)
     g = rng.uniform(-1, 1, (3, 1))
-    return Problem(F=f, G=g, a=0, b=6, A=rng.uniform(-1, 1, 3), B=np.zeros(3), U=UNIT_BOX)
+    a = rng.uniform(-1, 1, 3)
+    if seed:
+        spread = np.random.default_rng([seed, 3])
+        f = f + spread.uniform(-0.01, 0.01, f.shape)
+        g = g + spread.uniform(-0.01, 0.01, g.shape)
+        a = a + spread.uniform(-0.01, 0.01, a.shape)
+    return Problem(F=f, G=g, a=0, b=6, A=a, B=np.zeros(3), U=UNIT_BOX)
+
+
+@pytest.fixture(scope="module")
+def d3_synth():
+    return synth_l0(d3_plant(), k_max=4)
 
 
 def test_one_lp_gate_matches_min_time(ex1, ex2):
@@ -102,6 +117,29 @@ class TestEnumerateStructures:
         got = enumerate_structures(2, Ball(1.0), 2)
         assert Structure(("off", "on")) in got
         assert Structure(("on", "off")) in got
+
+    @staticmethod
+    def filtered_product(labels, k_max):
+        """The reference: every label product, repeats dropped, sorted
+        stably by (on-segment count, length)."""
+        sequences = [
+            Structure(combo)
+            for k in range(1, k_max + 1)
+            for combo in itertools.product(labels, repeat=k)
+            if all(a != b for a, b in zip(combo, combo[1:]))
+        ]
+        return sorted(sequences, key=lambda st: (st.n_on, st.segments))
+
+    def test_matches_filtered_product(self):
+        two_channel = Box(np.array([-1.0, -0.5]), np.array([2.0, 1.0]))
+        two_labels = [(0.0, 0.0), (0.0, -0.5), (0.0, 1.0), (-1.0, 0.0), (-1.0, -0.5),
+                      (-1.0, 1.0), (2.0, 0.0), (2.0, -0.5), (2.0, 1.0)]
+        cases = [(1, UNIT_BOX, [(0.0,), (-1.0,), (1.0,)], 7),
+                 (2, two_channel, two_labels, 4),
+                 (2, Ball(1.0), ["off", "on"], 6)]
+        for m, u_set, labels, k_top in cases:
+            for k_max in range(1, k_top + 1):
+                assert enumerate_structures(m, u_set, k_max) == self.filtered_product(labels, k_max)
 
 
 def solve_durations(prob, st):
@@ -262,13 +300,17 @@ class TestSynthL0:
         traj = propagate_exact(prob, result.control)
         assert endpoint_residual(traj, prob.B) <= 1e-6
 
-    def test_roadmap_d3_plant(self):
+    def test_roadmap_d3_plant(self, d3_synth):
         # 0.901608 bounds the support of the Nelder-Mead duration search
         # (0.9016076492); the winning structure's exact support is
-        # 0.9016076482.
-        result = synth_l0(d3_plant(), k_max=4)
-        assert result.support <= 0.901608 + SUPPORT_TIE
-        assert result.residual <= 1e-6
+        # 0.9016076482. The incumbents are not extremals, so their bounds
+        # stay well below the optimum (~0.7828) and nothing is pruned.
+        assert d3_synth.support <= 0.901608 + SUPPORT_TIE
+        assert d3_synth.residual <= 1e-6
+        assert not d3_synth.certified
+        assert np.isfinite(d3_synth.lower_bound) and d3_synth.lower_bound <= 0.7828
+        assert d3_synth.gap > 0.1 and not d3_synth.globally_optimal
+        assert not any(t.pruned for t in d3_synth.trials)
 
     def test_misreported_fit_not_returned(self, ex1, monkeypatch):
         # A fit that claims to meet the endpoint with the all-off structure
@@ -290,10 +332,42 @@ class TestSynthL0:
 
     def test_sweep_iteration_budget(self, ex1_synth, ex2_synth):
         # Solver iterations are deterministic, so a convergence regression
-        # shows here without timing noise (measured: 67 and 1,038).
+        # shows here without timing noise (measured: 3 and 43; 67 and 1,038
+        # before the sweep stopped at the dual bound).
         assert len(ex1_synth.trials) == 21 and len(ex2_synth.trials) == 93
-        assert sum(t.iterations for t in ex1_synth.trials) <= 90
-        assert sum(t.iterations for t in ex2_synth.trials) <= 1400
+        assert sum(t.iterations for t in ex1_synth.trials) <= 10
+        assert sum(t.iterations for t in ex2_synth.trials) <= 100
+
+    def test_benchmarks_globally_optimal(self, ex1_synth, ex2_synth):
+        for result in (ex1_synth, ex2_synth):
+            assert abs(result.gap) <= 1e-9 and result.globally_optimal
+
+    def test_sweep_stops_at_winner(self, ex1):
+        # 49,149 structures at k_max 14; the bound at the winner, fit 4,
+        # certifies it, and every later structure is left unfitted.
+        result = synth_l0(ex1, k_max=14)
+        fitted = [t for t in result.trials if not t.pruned]
+        assert len(result.trials) == len(enumerate_structures(1, UNIT_BOX, 14)) == 49149
+        assert len(fitted) == 4 and result.trials[3] is fitted[-1]
+        assert result.trials[3].feasible and result.trials[3].support == result.support
+        assert all(t.pruned and t.iterations == 0 and not t.feasible for t in result.trials[4:])
+        assert result.globally_optimal
+
+    def test_pruning_keeps_the_winner(self, ex1, ex2, ex1_synth, ex2_synth, d3_synth, monkeypatch):
+        # The stop rule may only skip work: a full sweep (every bound -inf)
+        # must return the same winner, bit for bit.
+        from handsoff import synth
+
+        cases = [(ex1, None, ex1_synth), (ex2, None, ex2_synth), (d3_plant(), 4, d3_synth)]
+        cases += [(prob, 4, synth_l0(prob, k_max=4)) for prob in map(d3_plant, (531, 534, 547))]
+        monkeypatch.setattr(synth, "dual_bound", lambda prob, p_hat: float("-inf"))
+        for prob, k, got in cases:
+            full = synth_l0(prob, k_max=k)
+            assert not any(t.pruned for t in full.trials)
+            assert len(full.trials) == len(got.trials)
+            assert np.array_equal(full.control.breakpoints, got.control.breakpoints)
+            assert np.array_equal(full.control.values, got.control.values)
+            assert full.support == got.support
 
     def test_seed_determinism(self, ex1, ex1_synth):
         rerun = synth_l0(ex1, seed=42)
