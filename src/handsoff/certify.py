@@ -16,6 +16,13 @@ its trajectory. The checker verifies every first-order condition:
 * constancy of the Hamiltonian off breakpoints;
 * the endpoint condition.
 
+One pass serves every check: :func:`handsoff.sim._sample_extremal`
+evaluates the costates (analytic for LTI plants, one backward RK4 pass
+with its Jacobians for callback dynamics), the Hamiltonian and the
+off-breakpoint mask along the trajectory once, and the checks compare
+those samples. Only the LTI adjoint check uses its own uniform grid.
+``synth_l0`` certifies its winner on the trajectory it already has.
+
 Transversality is vacuous for fixed endpoints (the terminal costate is
 unconstrained), so it reports true by construction. A passing normal
 certificate on state-affine dynamics is also a local-optimality
@@ -36,15 +43,17 @@ bound equals the extremal's support.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .control_law import TIE_TOL, AdjointParams, adjoint_on_grid, bang_off_bang, hamiltonian_values
+from .control_law import TIE_TOL, AdjointParams, _input_grid, adjoint_on_grid, bang_off_bang
 from .model import Box, PiecewiseConstantControl, Problem, Trajectory
 from .sim import (
+    HamiltonianProfile,
     NonlinearDynamics,
-    breakpoint_mask,
+    _Extremal,
+    _sample_extremal,
     endpoint_residual,
     propagate_exact,
     propagate_rk4,
@@ -69,18 +78,7 @@ class CertificateReport:
     locally_optimal: bool
 
     def to_dict(self) -> dict:
-        return {
-            "eta": self.eta,
-            "p_hat": [float(x) for x in np.atleast_1d(self.p_hat)],
-            "adjoint_residual": self.adjoint_residual,
-            "hmax_violation": self.hmax_violation,
-            "constancy_spread": self.constancy_spread,
-            "endpoint_residual": self.endpoint_residual,
-            "nontriviality": self.nontriviality,
-            "transversality": self.transversality,
-            "passed": self.passed,
-            "locally_optimal": self.locally_optimal,
-        }
+        return {**asdict(self), "p_hat": [float(x) for x in np.atleast_1d(self.p_hat)]}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)
@@ -112,40 +110,17 @@ def check_adjoint(
         return float(np.abs(defect).max())
     if traj is None:
         raise ValueError("nonlinear adjoint check requires the trajectory")
-    costates = _backward_adjoint(dynamics, traj, ap.p_hat)
-    grid = traj.grid
-    defect_max = 0.0
-    for i in range(1, grid.size - 1):
-        h0, h1 = grid[i] - grid[i - 1], grid[i + 1] - grid[i]
-        if abs(h1 - h0) > 1e-12 * max(h0, h1):
-            continue  # skip unequal spacing at segment joins
-        deriv = (costates[i + 1] - costates[i - 1]) / (h0 + h1)
-        jac = dynamics.jacobian(traj.states[i], traj.controls[i])
-        defect_max = max(defect_max, float(np.abs(deriv + jac.T @ costates[i]).max()))
-    return defect_max
+    return _adjoint_defect(traj, _sample_extremal(prob, ap, traj, None, dynamics))
 
 
-def _backward_adjoint(dyn: NonlinearDynamics, traj: Trajectory, p_hat: np.ndarray) -> np.ndarray:
-    """Backward RK4 integration of the adjoint along a sampled trajectory."""
-    grid = traj.grid
-    n = grid.size
-    costates = np.empty((n, dyn.d))
-    costates[-1] = p_hat
-
-    def rhs(i_lo: int, i_hi: int, frac: float, p: np.ndarray) -> np.ndarray:
-        z = (1.0 - frac) * traj.states[i_lo] + frac * traj.states[i_hi]
-        u = traj.controls[i_lo]
-        return -dyn.jacobian(z, u).T @ p
-
-    for i in range(n - 2, -1, -1):
-        h = grid[i + 1] - grid[i]
-        p = costates[i + 1]
-        k1 = rhs(i, i + 1, 1.0, p)
-        k2 = rhs(i, i + 1, 0.5, p - 0.5 * h * k1)
-        k3 = rhs(i, i + 1, 0.5, p - 0.5 * h * k2)
-        k4 = rhs(i, i + 1, 0.0, p - h * k3)
-        costates[i] = p - (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return costates
+def _adjoint_defect(traj: Trajectory, ex: _Extremal) -> float:
+    """Central-difference defect of the backward-integrated costate, at the
+    samples whose two neighbours are equally spaced (segment joins are not)."""
+    c, h = ex.costates, np.diff(traj.grid)
+    h0, h1 = h[:-1], h[1:]
+    even = np.abs(h1 - h0) <= 1e-12 * np.maximum(h0, h1)
+    defect = (c[2:] - c[:-2]) / (h0 + h1)[:, None] + np.einsum("nji,nj->ni", ex.jacobians[1:], c[1:-1])
+    return float(np.abs(defect[even]).max(initial=0.0))
 
 
 def check_hamiltonian_max(
@@ -166,44 +141,43 @@ def check_hamiltonian_max(
     """
     if grid_n < 101:
         raise ValueError("grid_n must be at least 101")
-    keep = breakpoint_mask(traj.grid, u)
-    grid = traj.grid[keep]
-    states = traj.states[keep]
-    controls = traj.controls[keep]
+    ex = _sample_extremal(prob, ap, traj, u, dynamics, zero_tol)
+    return _hmax_shortfall(prob, ap, traj, ex, dynamics, grid_n)
+
+
+def _hmax_shortfall(
+    prob: Problem,
+    ap: AdjointParams,
+    traj: Trajectory,
+    ex: _Extremal,
+    dynamics: NonlinearDynamics | None,
+    grid_n: int = 1001,
+) -> float:
+    """:func:`check_hamiltonian_max` on an evaluated extremal."""
+    keep = np.flatnonzero(ex.keep)
     if dynamics is None:
-        costates = adjoint_on_grid(prob, ap, grid)
-        achieved = hamiltonian_values(prob, ap.eta, costates, states, controls, zero_tol=zero_tol)
-        drift = np.einsum("ij,ij->i", costates, states @ prob.F.T)
+        costates = ex.costates[keep]
+        drift = np.einsum("ij,ij->i", costates, traj.states[keep] @ prob.F.T)
         gain = bang_off_bang(prob.U, costates @ prob.G, ap.eta).gain
-        sup = drift + np.maximum(gain, float(ap.eta))
-        return float(np.max(sup - achieved))
+        return float(np.max(drift + np.maximum(gain, float(ap.eta)) - ex.values[keep]))
 
-    from .control_law import _input_grid
-
-    costates = _backward_adjoint(dynamics, traj, ap.p_hat)[keep]
-    if grid.size > 301:  # callback dynamics: thin the sample set
-        pick = np.unique(np.linspace(0, grid.size - 1, 301).astype(int))
-        grid, states, controls, costates = grid[pick], states[pick], controls[pick], costates[pick]
-    vel = np.stack([np.asarray(dynamics.phi(z, v), dtype=float) for z, v in zip(states, controls)])
-    achieved = hamiltonian_values(prob, ap.eta, costates, states, controls, vel, zero_tol)
+    if keep.size > 301:  # callback dynamics: thin the sample set
+        keep = keep[np.unique(np.linspace(0, keep.size - 1, 301).astype(int))]
     inputs = _input_grid(prob.U, prob.m, grid_n)
-    zero_row = np.all(inputs == 0.0, axis=1)
+    bonus = ap.eta * np.all(inputs == 0.0, axis=1)
     shortfall = 0.0
-    for i in range(grid.size):
-        p, z = costates[i], states[i]
-        values = np.array([p @ np.asarray(dynamics.phi(z, vv), dtype=float) for vv in inputs])
-        shortfall = max(shortfall, float((values + ap.eta * zero_row).max() - achieved[i]))
+    for i in keep:
+        p, z = ex.costates[i], traj.states[i]
+        values = np.array([p @ np.asarray(dynamics.phi(z, v), dtype=float) for v in inputs])
+        shortfall = max(shortfall, float((values + bonus).max() - ex.values[i]))
     return shortfall
 
 
 def check_constancy(values: np.ndarray, mask: np.ndarray | None = None) -> float:
     """Spread (max - min) of a Hamiltonian profile over unflagged samples."""
     values = np.asarray(values, dtype=float)
-    if mask is not None:
-        values = values[np.asarray(mask, dtype=bool)]
-    if values.size == 0:
-        return 0.0
-    return float(values.max() - values.min())
+    keep = np.ones(values.shape, dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
+    return HamiltonianProfile(values, keep).spread()
 
 
 def certify(
@@ -232,58 +206,45 @@ def certify(
     if eta not in (0, 1):
         raise ValueError(f"eta must be 0 or 1, got {eta}")
     prob.validate_control(control)
-
-    inf = float("inf")
-    if eta == 0 and float(np.linalg.norm(p_hat)) == 0.0:
-        traj = _propagate(prob, control, dynamics, rk4_steps)
-        return CertificateReport(
-            eta=0,
-            p_hat=p_hat,
-            adjoint_residual=inf,
-            hmax_violation=inf,
-            constancy_spread=inf,
-            endpoint_residual=endpoint_residual(traj, prob.B),
-            nontriviality=False,
-            transversality=True,
-            passed=False,
-            locally_optimal=False,
-        )
-
-    ap = AdjointParams(eta, p_hat)
-    traj = _propagate(prob, control, dynamics, rk4_steps)
-    end_res = endpoint_residual(traj, prob.B)
-
     if dynamics is None:
-        adjoint_res = check_adjoint(prob, ap)
-        costates = adjoint_on_grid(prob, ap, traj.grid)
-        vel = None
-        affine = True
+        traj = propagate_exact(prob, control)
     else:
-        adjoint_res = check_adjoint(prob, ap, traj=traj, dynamics=dynamics)
-        costates = _backward_adjoint(dynamics, traj, ap.p_hat)
-        vel = np.stack(
-            [np.asarray(dynamics.phi(z, u), float) for z, u in zip(traj.states, traj.controls)]
-        )
-        affine = dynamics.affine_in_state
-    values = hamiltonian_values(prob, ap.eta, costates, traj.states, traj.controls, vel, zero_tol)
-    constancy = check_constancy(values, breakpoint_mask(traj.grid, control))
-    hmax = check_hamiltonian_max(prob, ap, traj, control, dynamics=dynamics, zero_tol=zero_tol)
+        traj = propagate_rk4(dynamics, control, prob.A, rk4_steps)
+    tols = (adjoint_tol, hmax_tol, constancy_tol, endpoint_tol)
+    return _certify_trajectory(prob, eta, p_hat, control, traj, dynamics, tols, zero_tol)
 
-    # The costate of a nontrivial terminal vector never vanishes for LTI
-    # flows; verify numerically so the nonlinear path gets the same check.
-    min_costate = float(np.linalg.norm(costates, axis=1).min())
-    nontrivial = eta == 1 or min_costate > 0.0
 
-    passed = (
-        nontrivial
-        and adjoint_res <= adjoint_tol
-        and hmax <= hmax_tol
-        and constancy <= constancy_tol
-        and end_res <= endpoint_tol
-    )
+def _certify_trajectory(
+    prob: Problem,
+    eta: int,
+    p_hat: np.ndarray,
+    control: PiecewiseConstantControl,
+    traj: Trajectory,
+    dynamics: NonlinearDynamics | None = None,
+    tols: tuple[float, float, float, float] = (DEFAULT_TOL,) * 4,
+    zero_tol: float = 1e-9,
+) -> CertificateReport:
+    """:func:`certify` on the control's already propagated trajectory;
+    ``tols`` holds the adjoint, hmax, constancy and endpoint tolerances."""
+    end_res = endpoint_residual(traj, prob.B)
+    if eta == 0 and float(np.linalg.norm(p_hat)) == 0.0:
+        adjoint_res = hmax = constancy = float("inf")
+        nontrivial = False
+    else:
+        ap = AdjointParams(eta, p_hat)
+        p_hat = ap.p_hat
+        ex = _sample_extremal(prob, ap, traj, control, dynamics, zero_tol)
+        adjoint_res = check_adjoint(prob, ap) if dynamics is None else _adjoint_defect(traj, ex)
+        hmax = _hmax_shortfall(prob, ap, traj, ex, dynamics)
+        constancy = HamiltonianProfile(ex.values, ex.keep).spread()
+        # The costate of a nontrivial terminal vector never vanishes for LTI
+        # flows; verify numerically so the nonlinear path gets the same check.
+        nontrivial = eta == 1 or float(np.linalg.norm(ex.costates, axis=1).min()) > 0.0
+
+    passed = nontrivial and all(r <= t for r, t in zip((adjoint_res, hmax, constancy, end_res), tols))
     return CertificateReport(
         eta=int(eta),
-        p_hat=ap.p_hat,
+        p_hat=p_hat,
         adjoint_residual=float(adjoint_res),
         hmax_violation=float(hmax),
         constancy_spread=float(constancy),
@@ -291,7 +252,7 @@ def certify(
         nontriviality=bool(nontrivial),
         transversality=True,
         passed=bool(passed),
-        locally_optimal=bool(passed and eta == 1 and affine),
+        locally_optimal=bool(passed and eta == 1 and (dynamics is None or dynamics.affine_in_state)),
     )
 
 
@@ -384,9 +345,3 @@ def dual_bound(prob: Problem, p_hat: np.ndarray) -> float:
     excess = float((np.maximum(phi, 0.0) @ weights) @ half)
     p_start = adjoint_on_grid(prob, ap, np.array([prob.a]))[0]
     return float(p @ prob.B - p_start @ prob.A) - excess
-
-
-def _propagate(prob, control, dynamics, rk4_steps) -> Trajectory:
-    if dynamics is None:
-        return propagate_exact(prob, control)
-    return propagate_rk4(dynamics, control, prob.A, rk4_steps)

@@ -79,12 +79,17 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"handsoff {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_l0 = sub.add_parser("solve-l0", help="synthesize the sparsest steering control")
+    # The synthesis options that solve-l0 and example share.
+    synth_opts = argparse.ArgumentParser(add_help=False)
+    synth_opts.add_argument("--kmax", type=int, default=None, help="max segments (default 2d+1)")
+    synth_opts.add_argument("--feas-tol", type=float, default=1e-6, help="endpoint residual tolerance")
+    synth_opts.add_argument("--zero-tol", type=float, default=1e-9, help="support zero threshold")
+    synth_opts.add_argument("--seed", type=int, default=42)
+
+    p_l0 = sub.add_parser(
+        "solve-l0", parents=[synth_opts], help="synthesize the sparsest steering control"
+    )
     p_l0.add_argument("problem", help="problem JSON file")
-    p_l0.add_argument("--kmax", type=int, default=None, help="max segments (default 2d+1)")
-    p_l0.add_argument("--feas-tol", type=float, default=1e-6, help="endpoint residual tolerance")
-    p_l0.add_argument("--zero-tol", type=float, default=1e-9, help="support zero threshold")
-    p_l0.add_argument("--seed", type=int, default=42)
     p_l0.add_argument("--out", default=".", help="output directory")
     p_l0.add_argument("--plot", action="store_true", help="emit an SVG figure")
 
@@ -114,13 +119,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sing.add_argument("--xi2", type=float, required=True)
     p_sing.add_argument("--horizon", type=float, required=True)
 
-    p_ex = sub.add_parser("example", help="run a built-in benchmark end to end")
+    p_ex = sub.add_parser("example", parents=[synth_opts], help="run a built-in benchmark end to end")
     p_ex.add_argument("name", choices=sorted(BUILTIN))
     p_ex.add_argument("--intervals", type=int, default=1000)
-    p_ex.add_argument("--kmax", type=int, default=None)
-    p_ex.add_argument("--feas-tol", type=float, default=1e-6)
-    p_ex.add_argument("--zero-tol", type=float, default=1e-9)
-    p_ex.add_argument("--seed", type=int, default=42)
     p_ex.add_argument("--out", default=".")
 
     p_mt = sub.add_parser("min-time", help="minimum feasible transfer horizon")
@@ -189,26 +190,28 @@ def _render_solution_svg(prob, result, path):
     render([control_panel, state_panel], path)
 
 
+def _synth(prob, args):
+    return synth_l0(
+        prob, k_max=args.kmax, feas_tol=args.feas_tol, zero_tol=args.zero_tol, seed=_seed(args)
+    )
+
+
+def _print_synth(result, prefix: str = "") -> None:
+    bps = ",".join(f"{t:.12g}" for t in result.control.breakpoints)
+    print(f"{prefix}support={result.support:.6f}")
+    print(f"{prefix}breakpoints={bps}")
+    print(f"{prefix}endpoint_residual={result.residual:.6e}")
+    print(f"{prefix}certified={str(result.certified).lower()}")
+    print(f"{prefix}locally_optimal={str(result.locally_optimal).lower()}")
+    print(f"{prefix}lower_bound={result.lower_bound:.9f}")
+    print(f"{prefix}gap={result.gap:.6e}")
+
+
 def cmd_solve_l0(args) -> int:
     prob = load_problem(args.problem)
-    result = synth_l0(
-        prob,
-        k_max=args.kmax,
-        feas_tol=args.feas_tol,
-        zero_tol=args.zero_tol,
-        seed=_seed(args),
-    )
-    out = _out_dir(args)
-    stem = Path(args.problem).stem
-    _solve_l0_artifacts(prob, result, out, stem, args.plot)
-    print(f"support={result.support:.6f}")
-    bps = ",".join(f"{t:.12g}" for t in result.control.breakpoints)
-    print(f"breakpoints={bps}")
-    print(f"endpoint_residual={result.residual:.6e}")
-    print(f"certified={str(result.certified).lower()}")
-    print(f"locally_optimal={str(result.locally_optimal).lower()}")
-    print(f"lower_bound={result.lower_bound:.9f}")
-    print(f"gap={result.gap:.6e}")
+    result = _synth(prob, args)
+    _solve_l0_artifacts(prob, result, _out_dir(args), Path(args.problem).stem, args.plot)
+    _print_synth(result)
     return EXIT_OK
 
 
@@ -271,22 +274,9 @@ def cmd_example(args) -> int:
     save_problem(prob, problem_path)
     print(f"problem={problem_path}")
 
-    result = synth_l0(
-        prob,
-        k_max=args.kmax,
-        feas_tol=args.feas_tol,
-        zero_tol=args.zero_tol,
-        seed=_seed(args),
-    )
+    result = _synth(prob, args)
     _solve_l0_artifacts(prob, result, out, args.name, plot=False)
-    print(f"l0_support={result.support:.6f}")
-    bps = ",".join(f"{t:.12g}" for t in result.control.breakpoints)
-    print(f"l0_breakpoints={bps}")
-    print(f"l0_endpoint_residual={result.residual:.6e}")
-    print(f"l0_certified={str(result.certified).lower()}")
-    print(f"l0_locally_optimal={str(result.locally_optimal).lower()}")
-    print(f"l0_lower_bound={result.lower_bound:.9f}")
-    print(f"l0_gap={result.gap:.6e}")
+    _print_synth(result, "l0_")
 
     l1_control, l1_cost_value = l1_solve(prob, args.intervals)
     save_control(l1_control, out / f"{args.name}_l1_control.csv")

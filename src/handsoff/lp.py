@@ -273,6 +273,15 @@ def _require_box(prob: Problem, what: str) -> Box:
     return prob.U
 
 
+def _input_columns(prob: Problem, box: Box, horizon: float, n_intervals: int):
+    """Endpoint columns of the inputs, one per interval and channel in that
+    order, shape (d, n_intervals * m), with their box bounds and the drift
+    (see :func:`_transition_maps`)."""
+    maps, drift = _transition_maps(prob, horizon, n_intervals)
+    columns = maps.transpose(1, 0, 2).reshape(prob.d, -1)
+    return columns, np.tile(box.lower, n_intervals), np.tile(box.upper, n_intervals), drift
+
+
 def build_l1_lp(prob: Problem, n_intervals: int) -> LpProblem:
     """Assemble the L1-cost relaxation on a uniform n_intervals grid.
 
@@ -282,26 +291,13 @@ def build_l1_lp(prob: Problem, n_intervals: int) -> LpProblem:
     if n_intervals < 1:
         raise ValueError("n_intervals must be at least 1")
     box = _require_box(prob, "the L1 relaxation")
-    n_inputs = n_intervals * prob.m
-    maps, drift = _transition_maps(prob, prob.horizon, n_intervals)
-    dt = prob.horizon / n_intervals
-
-    a_eq = np.empty((prob.d, 2 * n_inputs))
-    lower = np.zeros(2 * n_inputs)
-    upper = np.empty(2 * n_inputs)
-    for k in range(n_intervals):
-        for i in range(prob.m):
-            col = 2 * (k * prob.m + i)
-            a_eq[:, col] = maps[k][:, i]
-            a_eq[:, col + 1] = -maps[k][:, i]
-            upper[col] = box.upper[i]
-            upper[col + 1] = -box.lower[i]
+    columns, lower, upper, drift = _input_columns(prob, box, prob.horizon, n_intervals)
     return LpProblem(
-        c=np.full(2 * n_inputs, dt),
-        a_eq=a_eq,
+        c=np.full(2 * columns.shape[1], prob.horizon / n_intervals),
+        a_eq=np.stack([columns, -columns], axis=-1).reshape(prob.d, -1),
         b_eq=prob.B - drift,
-        lower=lower,
-        upper=upper,
+        lower=np.zeros(2 * columns.shape[1]),
+        upper=np.stack([upper, -lower], axis=-1).ravel(),
     )
 
 
@@ -332,25 +328,14 @@ def linf_feasibility(prob: Problem, horizon: float, n_intervals: int) -> float:
     if not horizon > 0:
         raise ValueError("horizon must be positive")
     box = _require_box(prob, "the feasibility test")
-    maps, drift = _transition_maps(prob, horizon, n_intervals)
+    columns, lower, upper, drift = _input_columns(prob, box, horizon, n_intervals)
     target = prob.B - drift
     if float(np.abs(target).max(initial=0.0)) <= 1e-12:
         return 0.0
 
-    n_inputs = n_intervals * prob.m
-    a_eq = np.empty((prob.d, n_inputs + 1))
-    lower = np.empty(n_inputs + 1)
-    upper = np.empty(n_inputs + 1)
-    for k in range(n_intervals):
-        for i in range(prob.m):
-            col = k * prob.m + i
-            a_eq[:, col] = maps[k][:, i]
-            lower[col] = box.lower[i]
-            upper[col] = box.upper[i]
-    a_eq[:, -1] = -target
-    lower[-1] = 0.0
-    upper[-1] = np.inf
-    cost = np.zeros(n_inputs + 1)
+    a_eq = np.column_stack([columns, -target])
+    lower, upper = np.append(lower, 0.0), np.append(upper, np.inf)
+    cost = np.zeros(columns.shape[1] + 1)
     cost[-1] = -1.0
 
     sol = simplex_solve(LpProblem(cost, a_eq, np.zeros(prob.d), lower, upper))

@@ -8,13 +8,16 @@ classical fixed-step fourth-order Runge-Kutta integrator whose step grid
 is aligned with the control breakpoints (a segment never straddles a
 control discontinuity). Fixed-step keeps regression numbers reproducible;
 these problems are desk-scale, so speed is not a concern.
+
+:func:`_sample_extremal` evaluates a candidate extremal along its
+trajectory once; profiles, trajectory CSVs and certificates read it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -192,6 +195,70 @@ def breakpoint_mask(
     return dist > window
 
 
+class _Extremal(NamedTuple):
+    """A candidate extremal sampled on its trajectory grid."""
+
+    keep: np.ndarray  # samples off the control breakpoints
+    costates: np.ndarray
+    values: np.ndarray  # the Hamiltonian <p, zdot> + eta [u == 0]
+    jacobians: np.ndarray | None  # callback dynamics: d(phi)/dz at (z_i, u_i), i < n - 1
+
+
+def _sample_extremal(
+    prob: Problem,
+    ap: AdjointParams,
+    traj: Trajectory,
+    u: PiecewiseConstantControl | None,
+    dynamics: NonlinearDynamics | None = None,
+    zero_tol: float = 1e-9,
+    window: float | None = None,
+) -> _Extremal:
+    """Costates and Hamiltonian of (ap, traj) with the off-breakpoint mask.
+
+    LTI plants use the analytic costate on the trajectory grid; callback
+    dynamics use one backward RK4 pass, which also yields the Jacobians
+    the adjoint defect needs. Without a control every sample is kept.
+    """
+    keep = np.ones(traj.grid.size, dtype=bool) if u is None else breakpoint_mask(traj.grid, u, window)
+    if dynamics is None:
+        costates, jacobians, velocities = adjoint_on_grid(prob, ap, traj.grid), None, None
+    else:
+        costates, jacobians = _backward_adjoint(dynamics, traj, ap.p_hat)
+        velocities = np.stack(
+            [np.asarray(dynamics.phi(z, v), dtype=float) for z, v in zip(traj.states, traj.controls)]
+        )
+    values = hamiltonian_values(prob, ap.eta, costates, traj.states, traj.controls, velocities, zero_tol)
+    return _Extremal(keep, costates, values, jacobians)
+
+
+def _backward_adjoint(
+    dyn: NonlinearDynamics, traj: Trajectory, p_hat: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Backward RK4 integration of pdot = -J(z, u)^T p along a sampled trajectory.
+
+    Step i runs from grid[i + 1] back to grid[i] under u_i with the state
+    interpolated linearly, so it needs the Jacobian at both ends and once
+    at the midpoint, which k2 and k3 share. Returns the costates and the
+    Jacobians at (z_i, u_i) for i < n - 1.
+    """
+    grid, states = traj.grid, traj.states
+    n = grid.size
+    costates = np.empty((n, dyn.d))
+    jacobians = np.empty((n - 1, dyn.d, dyn.d))
+    costates[-1] = p_hat
+    for i in range(n - 2, -1, -1):
+        h, p, u = grid[i + 1] - grid[i], costates[i + 1], traj.controls[i]
+        end = dyn.jacobian(states[i + 1], u)
+        mid = dyn.jacobian(0.5 * states[i] + 0.5 * states[i + 1], u)
+        jacobians[i] = dyn.jacobian(states[i], u)
+        k1 = -end.T @ p
+        k2 = -mid.T @ (p - 0.5 * h * k1)
+        k3 = -mid.T @ (p - 0.5 * h * k2)
+        k4 = -jacobians[i].T @ (p - h * k3)
+        costates[i] = p - (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return costates, jacobians
+
+
 def hamiltonian_profile(
     prob: Problem,
     ap: AdjointParams,
@@ -205,9 +272,8 @@ def hamiltonian_profile(
     Uses the analytic LTI costate. Along a genuine extremal the profile is
     constant off switching instants.
     """
-    costates = adjoint_on_grid(prob, ap, traj.grid)
-    values = hamiltonian_values(prob, ap.eta, costates, traj.states, traj.controls, zero_tol=zero_tol)
-    return HamiltonianProfile(values=values, off_breakpoint=breakpoint_mask(traj.grid, u, window))
+    ex = _sample_extremal(prob, ap, traj, u, zero_tol=zero_tol, window=window)
+    return HamiltonianProfile(values=ex.values, off_breakpoint=ex.keep)
 
 
 def save_trajectory(
@@ -226,11 +292,9 @@ def save_trajectory(
     if ap is not None:
         if prob is None:
             raise ValueError("writing switching columns requires the problem")
-        costates = adjoint_on_grid(prob, ap, traj.grid)
-        switching = costates @ prob.G
-        ham = hamiltonian_values(prob, ap.eta, costates, traj.states, traj.controls, zero_tol=zero_tol)
+        ex = _sample_extremal(prob, ap, traj, None, zero_tol=zero_tol)
         header += [f"s_{i + 1}" for i in range(m)] + ["H"]
-        columns += [switching, ham[:, None]]
+        columns += [ex.costates @ prob.G, ex.values[:, None]]
     table = np.column_stack([np.atleast_2d(c.T).T if c.ndim == 1 else c for c in columns])
     lines = [",".join(header)]
     for row in table:

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lp
-from .certify import CertificateReport, certify as _certify, dual_bound
+from .certify import CertificateReport, _certify_trajectory, dual_bound
 from .control_law import AdjointParams, bang_off_bang, candidate_distance
 from .linalg import ExpKernel, zoh_block
 from .model import Ball, Box, PiecewiseConstantControl, Problem, Trajectory, l0_cost
@@ -473,9 +473,10 @@ def synth_l0(
     (within SUPPORT_TIE, ties go to the earlier structure). A fit becomes
     the incumbent only once its assembled control, propagated exactly,
     meets the endpoint within ``feas_tol``. The winner is handed to
-    :func:`recover_adjoint` and :func:`handsoff.certify.certify`; a passing
-    normal certificate marks the result locally optimal, which for
-    state-affine dynamics is exactly the sufficiency condition.
+    :func:`recover_adjoint` and certified (:func:`handsoff.certify.certify`)
+    on the trajectory it was accepted with; a passing normal certificate
+    marks the result locally optimal, which for state-affine dynamics is
+    exactly the sufficiency condition.
 
     For box inputs each new incumbent's normal crossing equations
     (:func:`_crossing_least_squares`) give a terminal costate, and
@@ -549,7 +550,9 @@ def synth_l0(
 
     control, traj, residual = best
     certificate = recover_adjoint(prob, control, seed=seed)
-    report = None if certificate is None else _certify(prob, certificate.eta, certificate.p_hat, control)
+    report = None
+    if certificate is not None:
+        report = _certify_trajectory(prob, certificate.eta, certificate.p_hat, control, traj)
     if certificate is not None and certificate.eta == 1:
         lower_bound = max(lower_bound, dual_bound(prob, certificate.p_hat))
     return SynthResult(

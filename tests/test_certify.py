@@ -1,6 +1,8 @@
 """Certificate checks: adjoint defect, Hamiltonian maximization and
 constancy, nontriviality, and the assembled verdicts."""
 
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -9,6 +11,7 @@ from scipy.linalg import expm
 from scipy.optimize import brentq
 
 from conftest import random_control, random_problem
+from handsoff import sim
 from handsoff.certify import (
     certify,
     check_adjoint,
@@ -19,8 +22,17 @@ from handsoff.certify import (
 from handsoff.control_law import AdjointParams, adjoint_on_grid
 from handsoff.lp import l1_solve
 from handsoff.model import Ball, Box, PiecewiseConstantControl, Problem, l0_cost
-from handsoff.sim import endpoint_residual, linear_dynamics, propagate_exact
+from handsoff.sim import (
+    NonlinearDynamics,
+    endpoint_residual,
+    hamiltonian_profile,
+    linear_dynamics,
+    propagate_exact,
+)
 from handsoff.synth import NoFeasibleStructureError, synth_l0
+
+# The package re-exports the function under the module's name.
+certify_module = importlib.import_module("handsoff.certify")
 
 
 class TestCheckAdjoint:
@@ -63,6 +75,34 @@ class TestCheckAdjoint:
         for wrong in ([0.0, 2.2], [0.3, 2.0], [0.0, -2.0]):
             assert not certify(prob, 1, np.array(wrong), u).passed
 
+    def test_callback_defect_matches_pointwise_loop(self):
+        # The per-sample loop with fresh Jacobian calls is the reference for
+        # the vectorized defect over the backward pass's stored Jacobians.
+        rng = np.random.default_rng(11)
+        f = rng.uniform(-1.0, 1.0, (3, 3))
+        g = rng.uniform(-1.0, 1.0, (3, 1))
+        dyn = NonlinearDynamics(
+            d=3,
+            m=1,
+            phi=lambda z, u: f @ z + np.sin(z) + g @ u,
+            jac_z=lambda z, u: f + np.diag(np.cos(z)),
+        )
+        prob = Problem(F=f, G=g, a=0.0, b=2.0, A=rng.uniform(-1, 1, 3), B=np.zeros(3), U=Box([-1.0], [1.0]))
+        u = PiecewiseConstantControl([0.0, 0.7, 2.0], [[1.0], [-0.5]])
+        ap = AdjointParams(1, rng.uniform(-1.0, 1.0, 3))
+        traj = sim.propagate_rk4(dyn, u, prob.A, 200)
+        costates = sim._backward_adjoint(dyn, traj, ap.p_hat)[0]
+        grid, reference = traj.grid, 0.0
+        for i in range(1, grid.size - 1):
+            h0, h1 = grid[i] - grid[i - 1], grid[i + 1] - grid[i]
+            if abs(h1 - h0) > 1e-12 * max(h0, h1):
+                continue
+            deriv = (costates[i + 1] - costates[i - 1]) / (h0 + h1)
+            jac = dyn.jacobian(traj.states[i], traj.controls[i])
+            reference = max(reference, float(np.abs(deriv + jac.T @ costates[i]).max()))
+        assert reference > 0.0
+        assert check_adjoint(prob, ap, traj=traj, dynamics=dyn) == pytest.approx(reference, rel=1e-12)
+
     def test_nonlinear_path_matches_linear(self, ex2, ex2_control):
         dyn = linear_dynamics(ex2)
         traj = propagate_exact(ex2, ex2_control, samples=2000)
@@ -93,6 +133,105 @@ class TestCheckHamiltonianMax:
         traj = propagate_exact(ex1, ex1_control)
         with pytest.raises(ValueError):
             check_hamiltonian_max(ex1, ap, traj, ex1_control, grid_n=50)
+
+
+def _roadmap_d3_candidate():
+    """The ROADMAP d=3 plant with a bang-off-bang control and a multiplier
+    that is not its certificate, so every residual is nonzero."""
+    rng = np.random.default_rng(0)
+    f = rng.uniform(-1, 1, (3, 3)) - 1.5 * np.eye(3)
+    g = rng.uniform(-1, 1, (3, 1))
+    prob = Problem(F=f, G=g, a=0, b=6, A=rng.uniform(-1, 1, 3), B=np.zeros(3), U=Box([-1.0], [1.0]))
+    u = PiecewiseConstantControl([0.0, 1.0, 2.5, 4.0, 6.0], [[0.0], [-1.0], [0.0], [1.0]])
+    return prob, u, np.array([0.2, -0.5, 0.7])
+
+
+def _ex2_fd_dynamics(ex2):
+    """ex2 through the callback interface, with finite-difference Jacobians
+    and no state-affinity claim."""
+    f, g = ex2.F, ex2.G
+    return NonlinearDynamics(d=2, m=1, phi=lambda z, u: f @ z + g @ np.atleast_1d(u), affine_in_state=False)
+
+
+class TestOnePass:
+    """certify evaluates the extremal along its trajectory once and every
+    check reads those samples."""
+
+    def test_callback_certify_integrates_the_adjoint_once(self, ex2, ex2_control, monkeypatch):
+        calls = []
+        backward = sim._backward_adjoint
+
+        def counted(*args):
+            calls.append(args)
+            return backward(*args)
+
+        monkeypatch.setattr(sim, "_backward_adjoint", counted)
+        report = certify(
+            ex2, 1, np.array([0.0, 1.0]), ex2_control, dynamics=_ex2_fd_dynamics(ex2), rk4_steps=100
+        )
+        assert report.passed
+        assert len(calls) == 1
+
+    def test_backward_pass_evaluates_three_jacobians_per_step(self, ex2, ex2_control):
+        # Both ends and the shared midpoint of k2 and k3; the adjoint defect
+        # reuses the start-of-step Jacobians instead of asking again.
+        count = [0]
+
+        def jac(z, u):
+            count[0] += 1
+            return ex2.F
+
+        f, g = ex2.F, ex2.G
+        dyn = NonlinearDynamics(d=2, m=1, phi=lambda z, u: f @ z + g @ np.atleast_1d(u), jac_z=jac)
+        traj = sim.propagate_rk4(dyn, ex2_control, ex2.A, 100)
+        certify(ex2, 1, np.array([0.3, 0.9]), ex2_control, dynamics=dyn, rk4_steps=100)
+        assert count[0] == 3 * (traj.grid.size - 1)
+
+    def test_lti_certify_evaluates_trajectory_costates_once(self, ex2, ex2_control, monkeypatch):
+        grids = []
+        analytic = adjoint_on_grid
+
+        def counted(prob, ap, grid):
+            grids.append(np.asarray(grid).size)
+            return analytic(prob, ap, grid)
+
+        monkeypatch.setattr(sim, "adjoint_on_grid", counted)
+        monkeypatch.setattr(certify_module, "adjoint_on_grid", counted)
+        certify(ex2, 1, np.array([0.3, 0.9]), ex2_control)
+        traj = propagate_exact(ex2, ex2_control)
+        # The adjoint check's own 10001-point grid, and the trajectory grid once.
+        assert sorted(grids) == sorted([10001, traj.grid.size])
+
+    def test_synth_certifies_without_propagating_again(self, ex2, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("certification propagated the winner again")
+
+        monkeypatch.setattr(certify_module, "propagate_exact", refuse)
+        result = synth_l0(ex2)
+        assert result.report is not None and result.report.passed
+
+    @pytest.mark.parametrize("plant", ["ex2", "d3"])
+    @pytest.mark.parametrize("eta", [1, 0])
+    def test_report_equals_the_public_checks(self, plant, eta, ex2, ex2_control):
+        if plant == "ex2":
+            prob, u, p_hat = ex2, ex2_control, np.array([0.3, 0.9])
+        else:
+            prob, u, p_hat = _roadmap_d3_candidate()
+        report = certify(prob, eta, p_hat, u)
+        ap = AdjointParams(eta, p_hat)
+        traj = propagate_exact(prob, u)
+        assert report.hmax_violation > 0.0 and report.constancy_spread > 0.0
+        assert report.hmax_violation == check_hamiltonian_max(prob, ap, traj, u)
+        assert report.constancy_spread == hamiltonian_profile(prob, ap, traj, u).spread()
+        assert report.adjoint_residual == check_adjoint(prob, ap)
+
+    def test_callback_report_equals_the_public_checks(self, ex2, ex2_control):
+        dyn = _ex2_fd_dynamics(ex2)
+        ap = AdjointParams(1, np.array([0.3, 0.9]))
+        report = certify(ex2, 1, ap.p_hat, ex2_control, dynamics=dyn, rk4_steps=100)
+        traj = sim.propagate_rk4(dyn, ex2_control, ex2.A, 100)
+        assert report.adjoint_residual == check_adjoint(ex2, ap, traj=traj, dynamics=dyn)
+        assert report.hmax_violation == check_hamiltonian_max(ex2, ap, traj, ex2_control, dynamics=dyn)
 
 
 class TestCheckConstancy:

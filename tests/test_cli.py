@@ -240,6 +240,18 @@ class TestExampleCommand:
         assert l0_cost(u) == pytest.approx(3.0, abs=1e-4)
 
 
+def test_synthesis_commands_share_options():
+    from handsoff.cli import build_parser
+
+    parser = build_parser()
+    names = ("kmax", "feas_tol", "zero_tol", "seed")
+    argv = ["--kmax", "3", "--feas-tol", "1e-7", "--zero-tol", "1e-8", "--seed", "7"]
+    for tail in ([], argv):
+        l0 = vars(parser.parse_args(["solve-l0", "p.json", *tail]))
+        example = vars(parser.parse_args(["example", "ex1", *tail]))
+        assert {k: l0[k] for k in names} == {k: example[k] for k in names}
+
+
 class TestMinTimeCommand:
     def test_scalar_benchmark(self, capsys, ex1_file):
         code, kv = _run(capsys, ["min-time", str(ex1_file)])

@@ -237,6 +237,32 @@ class TestBuildL1:
         assert cost == pytest.approx(0.0, abs=1e-12)
         assert np.abs(control.values).max() <= 1e-10
 
+    def test_columns_follow_interval_channel_layout(self, monkeypatch):
+        # Column 2(k m + i) is channel i of interval k's endpoint map, and
+        # the next one its negative part; the feasibility LP has one column
+        # per (k, i) in the same order, then the gauge variable.
+        rng = np.random.default_rng(5)
+        box = Box(np.array([-1.0, -0.5]), np.array([1.0, 2.0]))
+        prob = Problem(F=rng.uniform(-1, 1, (3, 3)), G=rng.uniform(-1, 1, (3, 2)), a=0.0, b=4.0,
+                       A=rng.uniform(-1, 1, 3), B=0.2 * rng.uniform(-1, 1, 3), U=box)
+        n = 7
+        maps, _ = lp._transition_maps(prob, prob.horizon, n)
+        p = build_l1_lp(prob, n)
+        seen = []
+        monkeypatch.setattr(lp, "simplex_solve", lambda q: seen.append(q) or simplex_solve(q))
+        linf_feasibility(prob, prob.horizon, n)
+        gauge = seen[0]
+        for k in range(n):
+            for i in range(2):
+                col = k * 2 + i
+                assert np.array_equal(p.a_eq[:, 2 * col], maps[k][:, i])
+                assert np.array_equal(p.a_eq[:, 2 * col + 1], -maps[k][:, i])
+                assert (p.upper[2 * col], p.upper[2 * col + 1]) == (box.upper[i], -box.lower[i])
+                assert np.array_equal(gauge.a_eq[:, col], maps[k][:, i])
+                assert (gauge.lower[col], gauge.upper[col]) == (box.lower[i], box.upper[i])
+        assert not p.lower.any()
+        assert (gauge.lower[-1], gauge.upper[-1], gauge.c[-1]) == (0.0, np.inf, -1.0)
+
     def test_ball_rejected(self, ex2):
         ball_prob = Problem(
             F=ex2.F, G=ex2.G, a=ex2.a, b=ex2.b, A=ex2.A, B=ex2.B, U=Ball(1.0)
