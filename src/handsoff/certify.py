@@ -20,7 +20,11 @@ One pass serves every check: :func:`handsoff.sim._sample_extremal`
 evaluates the costates (analytic for LTI plants, one backward RK4 pass
 with its Jacobians for callback dynamics), the Hamiltonian and the
 off-breakpoint mask along the trajectory once, and the checks compare
-those samples. Only the LTI adjoint check uses its own uniform grid.
+those samples. Only the LTI adjoint check uses its own uniform grid of N
+samples, built from about 2 sqrt(N) exponentials: anchor costates every
+B = ceil(sqrt(N)) samples from :func:`handsoff.control_law.adjoint_on_grid`,
+each carried to the B - 1 samples below it by the short flows
+exp(F^T j h), j < B, in one matrix product.
 ``synth_l0`` certifies its winner on the trajectory it already has.
 
 Transversality is vacuous for fixed endpoints (the terminal costate is
@@ -43,11 +47,13 @@ bound equals the extremal's support.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .control_law import TIE_TOL, AdjointParams, _input_grid, adjoint_on_grid, bang_off_bang
+from .linalg import ExpKernel
 from .model import Box, PiecewiseConstantControl, Problem, Trajectory
 from .sim import (
     HamiltonianProfile,
@@ -94,14 +100,25 @@ def check_adjoint(
     """Maximum defect of the adjoint equation pdot = -(dphi/dz)^T p.
 
     LTI: the analytic costate is checked for consistency against its own
-    fourth-order central finite differences. Nonlinear: requires the
-    trajectory; the costate is integrated backward and a central difference
-    defect is measured with the (supplied or finite-difference) Jacobian.
+    fourth-order central finite differences on ``grid_n`` uniform samples
+    (at least 5). With B = ceil(sqrt(grid_n)), the anchor costates at
+    b - k B h come from :func:`adjoint_on_grid`, and the short flows
+    exp(F^T j h), j < B, carry each anchor to the samples below it, since
+    exp(F^T (k B + j) h) = exp(F^T j h) exp(F^T k B h). Nonlinear: requires
+    the trajectory; the costate is integrated backward and a central
+    difference defect is measured with the (supplied or finite-difference)
+    Jacobian.
     """
+    if grid_n < 5:
+        raise ValueError(f"the fourth-order stencil needs grid_n >= 5 samples, got {grid_n}")
     if dynamics is None:
-        grid = np.linspace(prob.a, prob.b, grid_n)
-        h = grid[1] - grid[0]
-        p = adjoint_on_grid(prob, ap, grid)
+        h = (prob.b - prob.a) / (grid_n - 1)
+        block = math.isqrt(grid_n - 1) + 1
+        far = adjoint_on_grid(prob, ap, prob.b - h * block * np.arange(-(-grid_n // block)))
+        near = ExpKernel(prob.F.T)(h * np.arange(block))
+        # Row k*B + j of the stack is the costate j + k B steps before b.
+        lagged = (near.reshape(-1, prob.d) @ far.T).reshape(block, prob.d, -1).transpose(2, 0, 1)
+        p = lagged.reshape(-1, prob.d)[grid_n - 1 :: -1]
         # Fourth-order central differences: the second-order stencil's
         # truncation error h^2/6 |F^3 p| alone exceeds the tolerance on
         # exact extremals of fast plants; this one's is h^4/30 |F^5 p|.

@@ -296,7 +296,6 @@ def save_trajectory(
         header += [f"s_{i + 1}" for i in range(m)] + ["H"]
         columns += [ex.costates @ prob.G, ex.values[:, None]]
     table = np.column_stack([np.atleast_2d(c.T).T if c.ndim == 1 else c for c in columns])
-    lines = [",".join(header)]
-    for row in table:
-        lines.append(",".join(f"{x:.17g}" for x in row))
+    row = ",".join(["%.17g"] * table.shape[1])
+    lines = [",".join(header)] + [row % tuple(r) for r in table.tolist()]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

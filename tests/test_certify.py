@@ -2,6 +2,7 @@
 constancy, nontriviality, and the assembled verdicts."""
 
 import importlib
+import math
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from handsoff.certify import (
     dual_bound,
 )
 from handsoff.control_law import AdjointParams, adjoint_on_grid
+from handsoff.linalg import ExpKernel
 from handsoff.lp import l1_solve
 from handsoff.model import Ball, Box, PiecewiseConstantControl, Problem, l0_cost
 from handsoff.sim import (
@@ -75,6 +77,37 @@ class TestCheckAdjoint:
         for wrong in ([0.0, 2.2], [0.3, 2.0], [0.0, -2.0]):
             assert not certify(prob, 1, np.array(wrong), u).passed
 
+    def test_grid_floor_enforced(self, ex2):
+        ap = AdjointParams(1, np.array([0.3, 0.9]))
+        for grid_n in (1, 4):
+            with pytest.raises(ValueError, match="fourth-order stencil"):
+                check_adjoint(ex2, ap, grid_n=grid_n)
+        assert check_adjoint(ex2, ap, grid_n=5) >= 0.0
+
+    def test_fast_plant_truncation_matches_per_sample_reference(self):
+        # ||F||_1 (b - a) = 350: at 10001 samples the stencil's truncation
+        # error (~7.4e-8) dominates roundoff, so both schemes must see it.
+        base = random_problem(np.random.default_rng(0), d=3)
+        f = base.F * 350.0 / (np.abs(base.F).sum(axis=0).max() * base.horizon)
+        prob = Problem(F=f, G=base.G, a=base.a, b=base.b, A=base.A, B=base.B, U=base.U)
+        ap = AdjointParams(1, np.array([0.5, 0.0, 0.0]))
+        reference = _per_sample_adjoint_defect(prob, ap, 10001)
+        assert 5e-8 <= reference <= 1e-7
+        assert check_adjoint(prob, ap) == pytest.approx(reference, rel=1e-3)
+
+    def test_kernel_samples_per_lti_check(self, ex2, monkeypatch):
+        # ceil(N / B) anchors plus B short flows, B = ceil(sqrt(N)).
+        samples = []
+        call = ExpKernel.__call__
+
+        def counted(kernel, t):
+            samples.append(np.size(t))
+            return call(kernel, t)
+
+        monkeypatch.setattr(ExpKernel, "__call__", counted)
+        check_adjoint(ex2, AdjointParams(1, np.array([0.3, 0.9])), grid_n=10001)
+        assert sum(samples) <= 202
+
     def test_callback_defect_matches_pointwise_loop(self):
         # The per-sample loop with fresh Jacobian calls is the reference for
         # the vectorized defect over the backward pass's stored Jacobians.
@@ -108,6 +141,44 @@ class TestCheckAdjoint:
         traj = propagate_exact(ex2, ex2_control, samples=2000)
         ap = AdjointParams(1, np.array([0.3, 0.9]))
         assert check_adjoint(ex2, ap, traj=traj, dynamics=dyn) <= 1e-5
+
+
+def _per_sample_adjoint_defect(prob: Problem, ap: AdjointParams, grid_n: int) -> float:
+    """The LTI adjoint defect with one exponential per grid sample."""
+    grid = np.linspace(prob.a, prob.b, grid_n)
+    h = grid[1] - grid[0]
+    p = adjoint_on_grid(prob, ap, grid)
+    deriv = (p[:-4] - 8.0 * p[1:-3] + 8.0 * p[3:-1] - p[4:]) / (12.0 * h)
+    return float(np.abs(deriv + p[2:-2] @ prob.F).max())
+
+
+def _assert_adjoint_check_agrees(prob: Problem, p_hat: np.ndarray) -> None:
+    # The defect is linear in p, so its roundoff floor scales with the
+    # largest costate; 1e-9 is that floor for |p| <= 1.
+    ap = AdjointParams(1, p_hat)
+    scale = max(1.0, float(np.abs(adjoint_on_grid(prob, ap, np.linspace(prob.a, prob.b, 101))).max()))
+    for grid_n in (5, 7, 101, 1001, 10001):
+        reference = _per_sample_adjoint_defect(prob, ap, grid_n)
+        assert abs(check_adjoint(prob, ap, grid_n=grid_n) - reference) <= 1e-9 * scale + 1e-3 * reference
+
+
+class TestAdjointAnchors:
+    """The anchored LTI adjoint check against one exponential per sample."""
+
+    def test_paper_examples(self, ex1, ex2):
+        _assert_adjoint_check_agrees(ex1, np.array([-1.0]))
+        _assert_adjoint_check_agrees(ex2, np.array([0.3, 0.9]))
+
+    def test_roadmap_d3_plant(self):
+        prob, _, p_hat = _roadmap_d3_candidate()
+        _assert_adjoint_check_agrees(prob, p_hat)
+
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**31), d=st.integers(1, 4), stable=st.booleans())
+    def test_random_plants(self, seed, d, stable):
+        rng = np.random.default_rng(seed)
+        prob = random_problem(rng, d=d, stable=stable)
+        _assert_adjoint_check_agrees(prob, rng.uniform(-1.0, 1.0, d))
 
 
 class TestCheckHamiltonianMax:
@@ -199,8 +270,11 @@ class TestOnePass:
         monkeypatch.setattr(certify_module, "adjoint_on_grid", counted)
         certify(ex2, 1, np.array([0.3, 0.9]), ex2_control)
         traj = propagate_exact(ex2, ex2_control)
-        # The adjoint check's own 10001-point grid, and the trajectory grid once.
-        assert sorted(grids) == sorted([10001, traj.grid.size])
+        # The trajectory grid once, and the adjoint check's anchors: one per
+        # block of ceil(sqrt(10001)) = 101 samples of its own grid.
+        assert len(grids) == 2 and traj.grid.size in grids
+        grids.remove(traj.grid.size)
+        assert grids[0] <= math.isqrt(10000) + 2
 
     def test_synth_certifies_without_propagating_again(self, ex2, monkeypatch):
         def refuse(*args):

@@ -5,7 +5,11 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
+from conftest import random_problem
+from handsoff.linalg import ExpKernel
+from handsoff.lp import linf_feasibility
 from handsoff.model import Ball, Box, PiecewiseConstantControl, Problem, l0_cost
 from handsoff.sim import endpoint_residual, propagate_exact
 from handsoff.synth import (
@@ -265,6 +269,29 @@ class TestSynthL0:
         short = Problem(F=ex1.F, G=ex1.G, a=0.0, b=2.0, A=ex1.A, B=ex1.B, U=ex1.U)
         with pytest.raises(InfeasibleProblemError):
             synth_l0(short)
+
+    def test_full_thrust_endpoint_passes_the_gate(self):
+        # B is the endpoint of u = sign(G^T p(t)), a bang-bang control whose
+        # switch falls between the gate LP's grid points: the 200-interval
+        # scaling reads 1.0000029, yet the exact control meets B.
+        free = random_problem(np.random.default_rng(2002))
+        flow = ExpKernel(free.F.T)
+        lam = np.random.default_rng(2003).normal(size=2)
+
+        def s(t):
+            return float(free.G[:, 0] @ flow(free.b - t) @ lam)
+
+        grid = np.linspace(free.a, free.b, 2001)
+        values = flow(free.b - grid) @ lam @ free.G[:, 0]
+        flips = np.flatnonzero(np.sign(values[:-1]) != np.sign(values[1:]))
+        bps = np.concatenate([[free.a], [brentq(s, grid[i], grid[i + 1], xtol=1e-15) for i in flips], [free.b]])
+        u = PiecewiseConstantControl(bps, np.sign([s(t) for t in 0.5 * (bps[:-1] + bps[1:])])[:, None])
+        prob = Problem(F=free.F, G=free.G, a=free.a, b=free.b, A=free.A, B=propagate_exact(free, u).states[-1], U=free.U)
+        assert 1.0 + 1e-9 < linf_feasibility(prob, prob.horizon, 200) < 1.0 + 1e-5
+        assert min_time(prob) == float("inf")  # min_time keeps the LP's verdict
+        result = synth_l0(prob)
+        assert endpoint_residual(propagate_exact(prob, result.control), prob.B) <= 1e-6
+        assert result.support <= prob.horizon + 1e-9
 
     def test_search_log_soundness(self, ex2_synth):
         feasible = [t for t in ex2_synth.trials if t.feasible]
