@@ -348,7 +348,7 @@ def dual_bound(prob: Problem, p_hat: np.ndarray) -> float:
         hi[idx] = np.where(left, hi[idx], roots[idx])
         with np.errstate(divide="ignore", invalid="ignore"):
             newton = roots[idx] - f / df
-        inside = (newton > lo[idx]) & (newton < hi[idx])
+        inside = (newton >= lo[idx]) & (newton <= hi[idx])
         step = np.where(inside, newton, 0.5 * (lo[idx] + hi[idx])) - roots[idx]
         done = (f == 0.0) | (np.abs(step) <= 4.0 * np.finfo(float).eps * max(abs(prob.a), abs(prob.b)))
         roots[idx] = np.where(done, roots[idx], roots[idx] + step)

@@ -13,9 +13,10 @@ index); after a run of degenerate basis changes it falls back to Bland's
 smallest-index rule until a step moves. Termination stays finite: a Bland
 run cannot cycle (Bland 1977), and every non-degenerate step strictly
 lowers the objective, so no basis repeats across them. The leaving
-variable is the ratio-test minimum with smallest-index ties. Each pivot
-factors the basis once and reuses it for the basic values, the duals and
-the entering column. Everything is deterministic, which is what
+variable is the ratio-test minimum with smallest-index ties. Each basis
+is factored once; a bound flip keeps it. The one factorization serves the
+basic values, the duals and the entering column of every pivot until the
+basis changes. Everything is deterministic, which is what
 reproducible experiments need.
 
 The L1 relaxation of a steering task is assembled on a uniform grid with
@@ -117,15 +118,13 @@ def simplex_solve(problem: LpProblem, max_iterations: int = 10**6) -> LpSolution
     hi = np.concatenate([problem.upper, np.full(rows, np.inf)])
 
     # Nonbasic start: every structural variable at a finite bound.
+    finite_lo, finite_hi = np.isfinite(problem.lower), np.isfinite(problem.upper)
+    from_upper = ~finite_lo & finite_hi
     x = np.zeros(n + rows)
+    x[:n] = np.where(finite_lo, problem.lower, np.where(from_upper, problem.upper, 0.0))
     stat = np.full(n + rows, _AT_LOWER, dtype=int)
-    for j in range(n):
-        if np.isfinite(lo[j]):
-            x[j] = lo[j]
-        elif np.isfinite(hi[j]):
-            x[j], stat[j] = hi[j], _AT_UPPER
-        else:
-            x[j], stat[j] = 0.0, _FREE
+    stat[:n][from_upper] = _AT_UPPER
+    stat[:n][~finite_lo & ~finite_hi] = _FREE
 
     residual = problem.b_eq - problem.a_eq @ x[:n]
     signs = np.where(residual >= 0.0, 1.0, -1.0)
@@ -158,30 +157,35 @@ def _simplex_core(a_full, b_eq, cost, lo, hi, basis, stat, x, budget) -> tuple[i
     """Run simplex pivots in place; returns (iterations, status)."""
     total = a_full.shape[1]
     identity = np.eye(a_full.shape[0])
+    columns = np.ascontiguousarray(a_full.T)  # a row take gathers columns
+    movable = hi - lo > 0.0  # pinned variables never re-enter
     iterations = 0
     degenerate_run = 0
+    refactor = True
     while True:
         if iterations >= budget:
             return iterations, LpStatus.ITERATION_LIMIT
         iterations += 1
 
-        basic_mask = np.zeros(total, dtype=bool)
-        basic_mask[basis] = True
-        # One factorization per pivot serves x_B, the duals and the
-        # entering column.
-        b_inv = solve_linear(a_full[:, basis], identity)
-        rhs = b_eq - a_full[:, ~basic_mask] @ x[~basic_mask]
+        if refactor:
+            # One factorization per basis serves x_B, the duals and the
+            # entering column; a bound flip keeps all of it.
+            refactor = False
+            nonbasic = np.ones(total, dtype=bool)
+            nonbasic[basis] = False
+            nonbasic_idx = np.flatnonzero(nonbasic)
+            a_nonbasic = columns.take(nonbasic_idx, axis=0).T
+            b_inv = solve_linear(a_full[:, basis], identity)
+            y = b_inv.T @ cost[np.asarray(basis)]
+            reduced = cost - a_full.T @ y
+            any_gain = nonbasic & (np.abs(reduced) > _DTOL)
+            up_gain = nonbasic & movable & (reduced < -_DTOL)
+            down_gain = nonbasic & movable & (reduced > _DTOL)
+        rhs = b_eq - a_nonbasic @ x[nonbasic_idx]
         x[basis] = b_inv @ rhs
 
-        y = b_inv.T @ cost[np.asarray(basis)]
-        reduced = cost - a_full.T @ y
-
-        nonbasic = ~basic_mask
-        movable = hi - lo > 0.0  # pinned variables never re-enter
-        eligible = nonbasic & (
-            ((stat == _FREE) & (np.abs(reduced) > _DTOL))
-            | (movable & (stat == _AT_LOWER) & (reduced < -_DTOL))
-            | (movable & (stat == _AT_UPPER) & (reduced > _DTOL))
+        eligible = (
+            ((stat == _FREE) & any_gain) | ((stat == _AT_LOWER) & up_gain) | ((stat == _AT_UPPER) & down_gain)
         )
         candidates_idx = np.flatnonzero(eligible)
         if candidates_idx.size == 0:
@@ -241,6 +245,7 @@ def _simplex_core(a_full, b_eq, cost, lo, hi, basis, stat, x, budget) -> tuple[i
         x[leaving] = hi[leaving] if delta[best_pos] > 0 else lo[leaving]
         stat[leaving] = _AT_UPPER if delta[best_pos] > 0 else _AT_LOWER
         basis[best_pos] = entering
+        refactor = True
 
 
 # ---------------------------------------------------------------------------

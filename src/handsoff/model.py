@@ -149,9 +149,15 @@ class Problem:
             raise ValidationError(
                 "breakpoints", f"control spans [{u.a}, {u.b}], problem horizon is [{self.a}, {self.b}]"
             )
-        for k, v in enumerate(u.values):
-            if not self.U.contains(v, tol):
-                raise ValidationError("values", f"segment {k} value {v} outside the admissible set")
+        v = u.values
+        if isinstance(self.U, Box):
+            inside = np.all((v >= self.U.lower - tol) & (v <= self.U.upper + tol), axis=1)
+        else:
+            # Row-wise dot products: the same sums as Ball.contains' norm.
+            inside = np.sqrt((v[:, None, :] @ v[:, :, None]).ravel()) <= self.U.radius + tol
+        if not inside.all():
+            k = int(np.argmin(inside))
+            raise ValidationError("values", f"segment {k} value {v[k]} outside the admissible set")
 
 
 @dataclass(frozen=True)

@@ -521,6 +521,14 @@ class TestDualBound:
         for jitter in (-1e-15, 0.0, 1e-15):
             assert dual_bound(ex2, np.array([jitter, 1.0 + jitter])) == pytest.approx(3.0, abs=1e-12)
 
+    def test_newton_step_onto_bracket_end_is_kept(self):
+        # Near this multiplier a Newton iterate lands exactly on its
+        # bracket end. Treating that as outside the bracket took a
+        # bisection step away from the converged root (error 7.7e-10).
+        prob, _, _ = _roadmap_d3_candidate()
+        p = np.array([11.451053961683096, 5.654545853972791, 14.683843085517829])
+        assert dual_bound(prob, p) == pytest.approx(quadrature_bound(prob, p), abs=1e-12)
+
     def test_rejects_wrong_dimension(self, ex2):
         with pytest.raises(ValueError):
             dual_bound(ex2, np.array([1.0]))

@@ -8,14 +8,22 @@ import pytest
 
 from handsoff import lp
 from handsoff.lp import (
+    _AT_LOWER,
+    _AT_UPPER,
+    _DEGENERATE_STEP,
+    _DTOL,
+    _FREE,
+    _PTOL,
     LpProblem,
     LpStatus,
     build_l1_lp,
     l1_solve,
     linf_feasibility,
     simplex_solve,
+    solve_linear,
 )
 from handsoff.model import Ball, Box, PiecewiseConstantControl, Problem, l0_cost
+from handsoff.problems import example_1, example_2
 from handsoff.sim import endpoint_residual, propagate_exact
 
 
@@ -70,6 +78,47 @@ def random_mixed_bound_lp(rng: np.random.Generator, n: int, rows: int) -> LpProb
     a = rng.uniform(-2.0, 2.0, (rows, n))
     x_feas = lower + rng.uniform(0.0, 0.5, n)
     return LpProblem(c=c, a_eq=a, b_eq=a @ x_feas, lower=lower, upper=upper)
+
+
+def roadmap_d3_plant() -> Problem:
+    rng = np.random.default_rng(0)
+    f = rng.uniform(-1, 1, (3, 3)) - 1.5 * np.eye(3)
+    g = rng.uniform(-1, 1, (3, 1))
+    return Problem(F=f, G=g, a=0, b=6, A=rng.uniform(-1, 1, 3), B=np.zeros(3), U=Box([-1.0], [1.0]))
+
+
+def feasibility_lp(prob: Problem, horizon: float, n_intervals: int, monkeypatch) -> LpProblem:
+    """The gauge LP that linf_feasibility solves."""
+    seen = []
+    with monkeypatch.context() as m:
+        m.setattr(lp, "simplex_solve", lambda q: seen.append(q) or simplex_solve(q))
+        linf_feasibility(prob, horizon, n_intervals)
+    return seen[0]
+
+
+def random_reference_lp(rng: np.random.Generator) -> LpProblem:
+    """Random LP with shifted, pinned, open-topped and free variables and a
+    right-hand side that is sometimes out of reach, so that optimal,
+    infeasible and unbounded outcomes all occur."""
+    n = int(rng.integers(2, 41))
+    rows = int(rng.integers(1, min(n, 8) + 1))
+    lower = rng.uniform(-1.0, 0.0, n)
+    upper = lower + rng.uniform(0.0, 2.0, n)
+    pinned = rng.random(n) < 0.05
+    upper[pinned] = lower[pinned]
+    x_feas = lower + rng.uniform(0.0, 1.0, n) * (upper - lower)
+    upper[rng.random(n) < 0.2] = np.inf
+    lower[rng.random(n) < 0.1] = -np.inf
+    a = rng.uniform(-2.0, 2.0, (rows, n))
+    b = a @ x_feas if rng.random() < 0.7 else rng.uniform(-3.0, 3.0, rows)
+    return LpProblem(rng.uniform(-1.0, 1.0, n), a, b, lower, upper)
+
+
+def assert_same_solution(got, want):
+    assert got.status is want.status
+    assert got.iterations == want.iterations
+    assert np.array_equal(got.objective, want.objective, equal_nan=True)
+    assert np.array_equal(got.x, want.x)
 
 
 @pytest.fixture(params=["dantzig", "bland"])
@@ -248,10 +297,7 @@ class TestBuildL1:
         n = 7
         maps, _ = lp._transition_maps(prob, prob.horizon, n)
         p = build_l1_lp(prob, n)
-        seen = []
-        monkeypatch.setattr(lp, "simplex_solve", lambda q: seen.append(q) or simplex_solve(q))
-        linf_feasibility(prob, prob.horizon, n)
-        gauge = seen[0]
+        gauge = feasibility_lp(prob, prob.horizon, n, monkeypatch)
         for k in range(n):
             for i in range(2):
                 col = k * 2 + i
@@ -383,3 +429,152 @@ def test_solution_bounds_clipped(ex2):
     sol = simplex_solve(lp_prob)
     assert sol.status is LpStatus.OPTIMAL
     assert np.all(sol.x >= lp_prob.lower) and np.all(sol.x <= lp_prob.upper)
+
+
+# The simplex core as it was when every pivot refactored the basis and
+# regathered the nonbasic columns, bound flips included. Kept verbatim as
+# the reference that the basis-keeping core must match bit for bit. It
+# reads Bland's threshold from this module; the tests below mirror lp's.
+_BLAND_AFTER = lp._BLAND_AFTER
+
+
+def _per_pivot_simplex_core(a_full, b_eq, cost, lo, hi, basis, stat, x, budget) -> tuple[int, LpStatus]:
+    """Run simplex pivots in place; returns (iterations, status)."""
+    total = a_full.shape[1]
+    identity = np.eye(a_full.shape[0])
+    iterations = 0
+    degenerate_run = 0
+    while True:
+        if iterations >= budget:
+            return iterations, LpStatus.ITERATION_LIMIT
+        iterations += 1
+
+        basic_mask = np.zeros(total, dtype=bool)
+        basic_mask[basis] = True
+        # One factorization per pivot serves x_B, the duals and the
+        # entering column.
+        b_inv = solve_linear(a_full[:, basis], identity)
+        rhs = b_eq - a_full[:, ~basic_mask] @ x[~basic_mask]
+        x[basis] = b_inv @ rhs
+
+        y = b_inv.T @ cost[np.asarray(basis)]
+        reduced = cost - a_full.T @ y
+
+        nonbasic = ~basic_mask
+        movable = hi - lo > 0.0  # pinned variables never re-enter
+        eligible = nonbasic & (
+            ((stat == _FREE) & (np.abs(reduced) > _DTOL))
+            | (movable & (stat == _AT_LOWER) & (reduced < -_DTOL))
+            | (movable & (stat == _AT_UPPER) & (reduced > _DTOL))
+        )
+        candidates_idx = np.flatnonzero(eligible)
+        if candidates_idx.size == 0:
+            return iterations, LpStatus.OPTIMAL
+        if degenerate_run >= _BLAND_AFTER:
+            entering = int(candidates_idx[0])  # Bland: smallest index
+        else:
+            # Dantzig: largest |reduced cost|, ties to the smallest index.
+            entering = int(candidates_idx[np.argmax(np.abs(reduced[candidates_idx]))])
+
+        if stat[entering] == _FREE:
+            sigma = 1.0 if reduced[entering] < 0 else -1.0
+        else:
+            sigma = 1.0 if stat[entering] == _AT_LOWER else -1.0
+
+        w = b_inv @ a_full[:, entering]
+        delta = -sigma * w  # per-unit motion of the basic values
+
+        # Candidate steps: every blocked basic variable, plus the entering
+        # variable flipping to its own opposite bound.
+        best_t = np.inf
+        best_index = -1  # variable index, for Bland tie-breaking
+        best_pos = -1
+        for pos, var in enumerate(basis):
+            if delta[pos] > _PTOL:
+                limit = hi[var]
+                t = (limit - x[var]) / delta[pos] if np.isfinite(limit) else np.inf
+            elif delta[pos] < -_PTOL:
+                limit = lo[var]
+                t = (x[var] - limit) / (-delta[pos]) if np.isfinite(limit) else np.inf
+            else:
+                continue
+            t = max(t, 0.0)
+            if t < best_t - 1e-12 or (t <= best_t + 1e-12 and (best_index < 0 or var < best_index)):
+                best_t, best_index, best_pos = t, var, pos
+
+        flip_t = hi[entering] - lo[entering] if stat[entering] != _FREE else np.inf
+        if np.isfinite(flip_t) and (
+            flip_t < best_t - 1e-12
+            or (flip_t <= best_t + 1e-12 and (best_index < 0 or entering < best_index))
+        ):
+            best_t, best_index, best_pos = flip_t, entering, -1
+
+        if not np.isfinite(best_t):
+            return iterations, LpStatus.UNBOUNDED
+
+        if best_pos < 0:
+            # Bound flip: no basis change, and a strict objective decrease.
+            degenerate_run = 0
+            stat[entering] = _AT_UPPER if stat[entering] == _AT_LOWER else _AT_LOWER
+            x[entering] = hi[entering] if stat[entering] == _AT_UPPER else lo[entering]
+            continue
+
+        degenerate_run = degenerate_run + 1 if best_t <= _DEGENERATE_STEP else 0
+        leaving = basis[best_pos]
+        x[entering] = x[entering] + sigma * best_t
+        x[leaving] = hi[leaving] if delta[best_pos] > 0 else lo[leaving]
+        stat[leaving] = _AT_UPPER if delta[best_pos] > 0 else _AT_LOWER
+        basis[best_pos] = entering
+
+
+class TestBasisKeptAcrossFlips:
+    def test_matches_per_pivot_reference(self, pricing, monkeypatch):
+        # Under Bland pricing ex2 and the d=3 plant take 14,539 and 16,557
+        # pivots at the Dantzig grids, so they run on 200 intervals there.
+        monkeypatch.setitem(globals(), "_BLAND_AFTER", lp._BLAND_AFTER)
+        ex1, ex2, d3 = example_1(), example_2(), roadmap_d3_plant()
+        short = Problem(F=ex1.F, G=ex1.G, a=ex1.a, b=ex1.a + 2.999, A=ex1.A, B=ex1.B, U=ex1.U)
+        dantzig = pricing == "dantzig"
+        cases = [
+            (build_l1_lp(ex1, 1000), 603),
+            (build_l1_lp(ex2, 1000 if dantzig else 200), 1030 if dantzig else None),
+            (build_l1_lp(d3, 600 if dantzig else 200), 387 if dantzig else None),
+            (feasibility_lp(d3, d3.horizon, 200, monkeypatch), None),
+            (build_l1_lp(short, 1000), None),
+            (feasibility_lp(short, short.horizon, 200, monkeypatch), None),
+        ]
+        rng = np.random.default_rng(1103)
+        cases += [(random_reference_lp(rng), None) for _ in range(200)]
+        outcomes = set()
+        for problem, pivots in cases:
+            got = simplex_solve(problem)
+            with monkeypatch.context() as m:
+                m.setattr(lp, "_simplex_core", _per_pivot_simplex_core)
+                want = simplex_solve(problem)
+            assert_same_solution(got, want)
+            assert pivots is None or got.iterations == pivots
+            outcomes.add(got.status)
+        assert outcomes == {LpStatus.OPTIMAL, LpStatus.INFEASIBLE, LpStatus.UNBOUNDED}
+
+    def test_iteration_limit_matches_reference(self, monkeypatch):
+        problem = build_l1_lp(example_2(), 200)
+        for budget in (1, 2, 57, 200):
+            got = simplex_solve(problem, max_iterations=budget)
+            with monkeypatch.context() as m:
+                m.setattr(lp, "_simplex_core", _per_pivot_simplex_core)
+                want = simplex_solve(problem, max_iterations=budget)
+            assert_same_solution(got, want)
+
+    @pytest.mark.parametrize(
+        "example, n_intervals, pivots, max_factorizations",
+        [("ex1", 1000, 603, 3), ("ex2", 1000, 1030, 431), ("ex2", 2000, 2055, 855)],
+    )
+    def test_one_factorization_per_basis(self, request, monkeypatch, example, n_intervals, pivots,
+                                         max_factorizations):
+        # Most pivots on these grids are bound flips, which keep the basis.
+        calls = []
+        monkeypatch.setattr(lp, "solve_linear", lambda m, rhs: calls.append(m.shape) or solve_linear(m, rhs))
+        sol = simplex_solve(build_l1_lp(request.getfixturevalue(example), n_intervals))
+        assert sol.status is LpStatus.OPTIMAL
+        assert sol.iterations == pivots
+        assert 0 < len(calls) <= max_factorizations

@@ -211,6 +211,44 @@ class TestControlContainer:
         with pytest.raises(ValidationError):
             ex2.validate_control(bad)
 
+    def test_validate_names_first_bad_box_segment(self, ex2):
+        u = PiecewiseConstantControl([0.0, 1.0, 2.0, 3.0, 5.0], [[0.5], [1.0 + 1e-9], [1.5], [-2.0]])
+        with pytest.raises(ValidationError) as info:
+            ex2.validate_control(u)
+        assert str(info.value) == "values: segment 2 value [1.5] outside the admissible set"
+
+    def test_validate_names_first_bad_ball_segment(self):
+        disk = Problem(F=np.zeros((2, 2)), G=np.eye(2), a=0.0, b=4.0, A=np.zeros(2), B=np.zeros(2), U=Ball(1.0))
+        u = PiecewiseConstantControl([0.0, 1.0, 2.0, 3.0, 4.0], [[0.6, 0.8], [0.0, 0.0], [1.0, 0.5], [3.0, 0.0]])
+        with pytest.raises(ValidationError) as info:
+            disk.validate_control(u)
+        assert str(info.value) == "values: segment 2 value [1.  0.5] outside the admissible set"
+
+    @pytest.mark.parametrize("u_set", [Box([-1.0, -0.5], [2.0, 1.0]), Ball(1.5)])
+    def test_validate_agrees_with_contains(self, u_set):
+        # Values within a few ulps of the boundary, where a differently
+        # rounded test would disagree with the per-value one.
+        rng = np.random.default_rng(11)
+        prob = Problem(F=np.zeros((2, 2)), G=np.eye(2), a=0.0, b=1.0, A=np.zeros(2), B=np.zeros(2), U=u_set)
+        edge = np.array([[-1.0, -0.5], [2.0, 1.0]]) if isinstance(u_set, Box) else None
+        verdicts = set()
+        for _ in range(300):
+            if edge is None:
+                direction = rng.normal(size=2)
+                v = (1.5 + 1e-9) * direction / np.linalg.norm(direction)
+            else:
+                v = edge[rng.integers(0, 2, 2), [0, 1]] + np.sign(rng.normal(size=2)) * 1e-9
+            v = v + rng.integers(-4, 5, 2) * np.spacing(v)
+            u = PiecewiseConstantControl([0.0, 1.0], [v])
+            inside = u_set.contains(v)
+            verdicts.add(inside)
+            try:
+                prob.validate_control(u)
+                assert inside
+            except ValidationError:
+                assert not inside
+        assert verdicts == {True, False}
+
     def test_immutable_arrays(self, ex2_control):
         with pytest.raises(ValueError):
             ex2_control.values[0, 0] = 7.0
