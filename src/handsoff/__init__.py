@@ -9,7 +9,7 @@ computed by an exact-discretization linear program.
 
 __version__ = "0.1.0"
 
-from .certify import (
+from .certificate import (
     CertificateReport,
     certify,
     check_adjoint,
@@ -19,7 +19,6 @@ from .certify import (
 )
 from .control_law import (
     AdjointParams,
-    Candidates,
     adjoint_at,
     argmax_hamiltonian_bruteforce,
     bang_off_bang,
@@ -30,7 +29,6 @@ from .control_law import (
 from .linalg import SingularMatrixError, discretize_zoh, mat_exp, solve_linear
 from .lp import LpProblem, LpSolution, LpStatus, build_l1_lp, l1_solve, linf_feasibility, simplex_solve
 from .model import (
-    AdmissibleSet,
     Ball,
     Box,
     PiecewiseConstantControl,
@@ -68,11 +66,9 @@ from .synth import (
 
 __all__ = [
     "AdjointParams",
-    "AdmissibleSet",
     "Ball",
     "BlowUpError",
     "Box",
-    "Candidates",
     "CertificateReport",
     "InfeasibleProblemError",
     "LpProblem",

@@ -69,6 +69,9 @@ from .sim import (
 #: propagator accuracy budget.
 DEFAULT_TOL = 1e-6
 
+#: Input grid size of the Hamiltonian maximum check for callback dynamics.
+_HMAX_INPUTS = 1001
+
 
 @dataclass(frozen=True)
 class CertificateReport:
@@ -145,21 +148,17 @@ def check_hamiltonian_max(
     ap: AdjointParams,
     traj: Trajectory,
     u: PiecewiseConstantControl,
-    grid_n: int = 1001,
     dynamics: NonlinearDynamics | None = None,
-    zero_tol: float = 1e-9,
 ) -> float:
     """Largest shortfall of the achieved Hamiltonian below its supremum.
 
     Samples every trajectory grid point away from switching instants. For
     LTI plants the supremum over the input set is exact (linear part at a
     vertex or along the switching direction, versus the zero input with
-    its eta bonus); for general dynamics it is taken over an input grid.
+    its eta bonus); for general dynamics it is taken over an input grid of
+    _HMAX_INPUTS points.
     """
-    if grid_n < 101:
-        raise ValueError("grid_n must be at least 101")
-    ex = _sample_extremal(prob, ap, traj, u, dynamics, zero_tol)
-    return _hmax_shortfall(prob, ap, traj, ex, dynamics, grid_n)
+    return _hmax_shortfall(prob, ap, traj, _sample_extremal(prob, ap, traj, u, dynamics), dynamics)
 
 
 def _hmax_shortfall(
@@ -168,7 +167,6 @@ def _hmax_shortfall(
     traj: Trajectory,
     ex: _Extremal,
     dynamics: NonlinearDynamics | None,
-    grid_n: int = 1001,
 ) -> float:
     """:func:`check_hamiltonian_max` on an evaluated extremal."""
     keep = np.flatnonzero(ex.keep)
@@ -180,7 +178,7 @@ def _hmax_shortfall(
 
     if keep.size > 301:  # callback dynamics: thin the sample set
         keep = keep[np.unique(np.linspace(0, keep.size - 1, 301).astype(int))]
-    inputs = _input_grid(prob.U, prob.m, grid_n)
+    inputs = _input_grid(prob.U, prob.m, _HMAX_INPUTS)
     bonus = ap.eta * np.all(inputs == 0.0, axis=1)
     shortfall = 0.0
     for i in keep:
@@ -203,19 +201,17 @@ def certify(
     p_hat: np.ndarray,
     control: PiecewiseConstantControl,
     dynamics: NonlinearDynamics | None = None,
-    adjoint_tol: float = DEFAULT_TOL,
-    hmax_tol: float = DEFAULT_TOL,
-    constancy_tol: float = DEFAULT_TOL,
-    endpoint_tol: float = DEFAULT_TOL,
+    tol: float = DEFAULT_TOL,
     rk4_steps: int = 20000,
-    zero_tol: float = 1e-9,
 ) -> CertificateReport:
     """Run every certificate check on a candidate (eta, p_hat, control).
 
-    The trajectory is propagated internally (exactly for LTI, RK4 for the
-    nonlinear path). Check failures are recorded in the report; only a
-    dimension mismatch raises. The trivial multiplier (0, 0) yields a
-    failed report with ``nontriviality`` false and the residuals at +inf.
+    Each residual (adjoint, Hamiltonian shortfall, constancy spread,
+    endpoint) passes when it is at most ``tol``. The trajectory is
+    propagated internally (exactly for LTI, RK4 for the nonlinear path).
+    Check failures are recorded in the report; only a dimension mismatch
+    raises. The trivial multiplier (0, 0) yields a failed report with
+    ``nontriviality`` false and the residuals at +inf.
     """
     p_hat = np.atleast_1d(np.asarray(p_hat, dtype=float))
     if p_hat.shape != (prob.d,):
@@ -227,8 +223,7 @@ def certify(
         traj = propagate_exact(prob, control)
     else:
         traj = propagate_rk4(dynamics, control, prob.A, rk4_steps)
-    tols = (adjoint_tol, hmax_tol, constancy_tol, endpoint_tol)
-    return _certify_trajectory(prob, eta, p_hat, control, traj, dynamics, tols, zero_tol)
+    return _certify_trajectory(prob, eta, p_hat, control, traj, dynamics, tol)
 
 
 def _certify_trajectory(
@@ -238,11 +233,9 @@ def _certify_trajectory(
     control: PiecewiseConstantControl,
     traj: Trajectory,
     dynamics: NonlinearDynamics | None = None,
-    tols: tuple[float, float, float, float] = (DEFAULT_TOL,) * 4,
-    zero_tol: float = 1e-9,
+    tol: float = DEFAULT_TOL,
 ) -> CertificateReport:
-    """:func:`certify` on the control's already propagated trajectory;
-    ``tols`` holds the adjoint, hmax, constancy and endpoint tolerances."""
+    """:func:`certify` on the control's already propagated trajectory."""
     end_res = endpoint_residual(traj, prob.B)
     if eta == 0 and float(np.linalg.norm(p_hat)) == 0.0:
         adjoint_res = hmax = constancy = float("inf")
@@ -250,7 +243,7 @@ def _certify_trajectory(
     else:
         ap = AdjointParams(eta, p_hat)
         p_hat = ap.p_hat
-        ex = _sample_extremal(prob, ap, traj, control, dynamics, zero_tol)
+        ex = _sample_extremal(prob, ap, traj, control, dynamics)
         adjoint_res = check_adjoint(prob, ap) if dynamics is None else _adjoint_defect(traj, ex)
         hmax = _hmax_shortfall(prob, ap, traj, ex, dynamics)
         constancy = HamiltonianProfile(ex.values, ex.keep).spread()
@@ -258,7 +251,7 @@ def _certify_trajectory(
         # flows; verify numerically so the nonlinear path gets the same check.
         nontrivial = eta == 1 or float(np.linalg.norm(ex.costates, axis=1).min()) > 0.0
 
-    passed = nontrivial and all(r <= t for r, t in zip((adjoint_res, hmax, constancy, end_res), tols))
+    passed = nontrivial and all(r <= tol for r in (adjoint_res, hmax, constancy, end_res))
     return CertificateReport(
         eta=int(eta),
         p_hat=p_hat,

@@ -7,15 +7,13 @@ control), ``singularity`` (the double-integrator L1 singularity test),
 benchmarks and emit a side-by-side comparison figure).
 
 Exit codes: 0 success, 1 usage or parse errors, 2 infeasible problems,
-3 failed certificates. The environment variable HANDSOFF_SEED overrides
-the optimizer seed.
+3 failed certificates.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 from pathlib import Path
@@ -23,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .certify import certify
+from .certificate import certify
 from .lp import LpError, LpStatus, l1_solve
 from .model import (
     ValidationError,
@@ -59,13 +57,6 @@ class _Parser(argparse.ArgumentParser):
     # argparse exits with code 2 on bad arguments; the contract here is 1.
     def error(self, message):
         raise _UsageError(message)
-
-
-def _seed(args) -> int:
-    env = os.environ.get("HANDSOFF_SEED")
-    if env is not None:
-        return int(env)
-    return args.seed
 
 
 def _out_dir(args) -> Path:
@@ -192,7 +183,7 @@ def _render_solution_svg(prob, result, path):
 
 def _synth(prob, args):
     return synth_l0(
-        prob, k_max=args.kmax, feas_tol=args.feas_tol, zero_tol=args.zero_tol, seed=_seed(args)
+        prob, k_max=args.kmax, feas_tol=args.feas_tol, zero_tol=args.zero_tol, seed=args.seed
     )
 
 
@@ -240,16 +231,7 @@ def cmd_certify(args) -> int:
     p_hat = _parse_vector(args.phat)
     if p_hat.size != prob.d:
         raise _UsageError(f"--phat needs {prob.d} components, got {p_hat.size}")
-    report = certify(
-        prob,
-        args.eta,
-        p_hat,
-        control,
-        adjoint_tol=args.tol,
-        hmax_tol=args.tol,
-        constancy_tol=args.tol,
-        endpoint_tol=args.tol,
-    )
+    report = certify(prob, args.eta, p_hat, control, tol=args.tol)
     print(report.to_json())
     return EXIT_OK if report.passed else EXIT_CERTIFICATE
 

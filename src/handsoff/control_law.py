@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .linalg import ExpKernel, mat_exp
-from .model import Ball, Box, Problem
+from .model import ZERO_TOL, Ball, Box, Problem
 
 #: Width of the band around a threshold inside which a switching value is
 #: classified as a tie. Exact floating-point equality would be meaningless.
@@ -91,12 +91,14 @@ def hamiltonian_values(
     states: np.ndarray,
     controls: np.ndarray,
     velocities: np.ndarray | None = None,
-    zero_tol: float = 1e-9,
 ) -> np.ndarray:
-    """<p_i, phi(z_i, u_i)> + eta * [u_i == 0] per sample; phi defaults to F z + G u."""
+    """<p_i, phi(z_i, u_i)> + eta * [u_i == 0] per sample; phi defaults to F z + G u.
+
+    An input counts as zero when every component is within ZERO_TOL of 0.
+    """
     if velocities is None:
         velocities = states @ prob.F.T + controls @ prob.G.T
-    bonus = eta * np.all(np.abs(controls) <= zero_tol, axis=1)
+    bonus = eta * np.all(np.abs(controls) <= ZERO_TOL, axis=1)
     return np.einsum("ij,ij->i", costates, velocities) + bonus
 
 
@@ -112,14 +114,13 @@ def pointwise_hamiltonian(
     v: np.ndarray,
     t: float,
     phi=None,
-    zero_tol: float = 1e-9,
 ) -> float:
     """Hamiltonian value <p(t), phi(z, v)> + eta * [v == 0].
 
     ``phi`` defaults to the problem's linear dynamics; pass a callback to
     evaluate the Hamiltonian of general dynamics with the same costate.
-    The zero indicator uses ``zero_tol`` so solver outputs with roundoff
-    still collect the hands-off bonus.
+    The zero indicator uses :data:`handsoff.model.ZERO_TOL` so solver
+    outputs with roundoff still collect the hands-off bonus.
     """
     v = np.atleast_1d(np.asarray(v, dtype=float))
     if not prob.U.contains(v):
@@ -127,7 +128,7 @@ def pointwise_hamiltonian(
     z = np.atleast_1d(np.asarray(z, dtype=float))
     vel = None if phi is None else np.asarray(phi(z, v), dtype=float)[None]
     p = adjoint_at(prob, ap, t)
-    return float(hamiltonian_values(prob, ap.eta, p[None], z[None], v[None], vel, zero_tol)[0])
+    return float(hamiltonian_values(prob, ap.eta, p[None], z[None], v[None], vel)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -184,8 +185,7 @@ def bang_off_bang(u_set: Box | Ball, s: np.ndarray, eta: int, tie_tol: float = T
 def candidate_distance(u_set: Box | Ball, rule, u: np.ndarray) -> np.ndarray:
     """Euclidean distance from inputs u (..., m) to the maximizer set.
 
-    ``rule`` is a :class:`Maximizer` or a :class:`Candidates`; leading
-    axes broadcast.
+    ``rule`` is a :class:`Maximizer`; leading axes broadcast.
     """
     u = np.asarray(u, dtype=float)
     bang, free = np.asarray(rule.bang), np.asarray(rule.free)
@@ -224,10 +224,6 @@ class Candidates:
             ]
             points.extend(itertools.product(*spans))
         return [np.array(p) for p in dict.fromkeys(points)]
-
-    def distance(self, v: np.ndarray) -> float:
-        """Euclidean distance from v to the maximizer set."""
-        return float(candidate_distance(self.u_set, self, v))
 
 
 def candidates_at(prob: Problem, ap: AdjointParams, t: float, tie_tol: float = TIE_TOL) -> Candidates:

@@ -21,10 +21,14 @@ from pathlib import Path
 
 import numpy as np
 
-#: Default magnitude below which a control sample counts as "off".
+#: Magnitude below which a control sample counts as "off", in the
+#: Hamiltonian's zero bonus and by default in the support measure.
 #: Solver and LP outputs carry roundoff, so exact-zero tests would
-#: misclassify; override per call where tighter semantics are needed.
+#: misclassify; :func:`l0_cost` and :func:`zero_time` take an override.
 ZERO_TOL = 1e-9
+
+#: Slack of the admissible-set and horizon checks.
+_ADMIT_TOL = 1e-9
 
 
 class ValidationError(ValueError):
@@ -67,9 +71,9 @@ class Box:
     def dim(self) -> int:
         return self.lower.size
 
-    def contains(self, v: np.ndarray, tol: float = 1e-9) -> bool:
+    def contains(self, v: np.ndarray) -> bool:
         v = np.asarray(v, dtype=float)
-        return bool(np.all(v >= self.lower - tol) and np.all(v <= self.upper + tol))
+        return bool(np.all(v >= self.lower - _ADMIT_TOL) and np.all(v <= self.upper + _ADMIT_TOL))
 
 
 @dataclass(frozen=True)
@@ -82,8 +86,8 @@ class Ball:
         if not self.radius > 0:
             raise ValidationError("U.radius", f"radius must be positive, got {self.radius}")
 
-    def contains(self, v: np.ndarray, tol: float = 1e-9) -> bool:
-        return bool(np.linalg.norm(np.asarray(v, dtype=float)) <= self.radius + tol)
+    def contains(self, v: np.ndarray) -> bool:
+        return bool(np.linalg.norm(np.asarray(v, dtype=float)) <= self.radius + _ADMIT_TOL)
 
 
 AdmissibleSet = Box | Ball
@@ -140,21 +144,21 @@ class Problem:
     def horizon(self) -> float:
         return self.b - self.a
 
-    def validate_control(self, u: "PiecewiseConstantControl", tol: float = 1e-9) -> None:
+    def validate_control(self, u: "PiecewiseConstantControl") -> None:
         """Check that a control matches this problem's horizon, input
         dimension, and admissible set."""
         if u.m != self.m:
             raise ValidationError("values", f"control has {u.m} channels, plant expects {self.m}")
-        if abs(u.a - self.a) > tol or abs(u.b - self.b) > tol:
+        if abs(u.a - self.a) > _ADMIT_TOL or abs(u.b - self.b) > _ADMIT_TOL:
             raise ValidationError(
                 "breakpoints", f"control spans [{u.a}, {u.b}], problem horizon is [{self.a}, {self.b}]"
             )
         v = u.values
         if isinstance(self.U, Box):
-            inside = np.all((v >= self.U.lower - tol) & (v <= self.U.upper + tol), axis=1)
+            inside = np.all((v >= self.U.lower - _ADMIT_TOL) & (v <= self.U.upper + _ADMIT_TOL), axis=1)
         else:
             # Row-wise dot products: the same sums as Ball.contains' norm.
-            inside = np.sqrt((v[:, None, :] @ v[:, :, None]).ravel()) <= self.U.radius + tol
+            inside = np.sqrt((v[:, None, :] @ v[:, :, None]).ravel()) <= self.U.radius + _ADMIT_TOL
         if not inside.all():
             k = int(np.argmin(inside))
             raise ValidationError("values", f"segment {k} value {v[k]} outside the admissible set")

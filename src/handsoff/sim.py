@@ -181,18 +181,14 @@ class HamiltonianProfile:
         return float(kept.max() - kept.min()) if kept.size else 0.0
 
 
-def breakpoint_mask(
-    grid: np.ndarray, u: PiecewiseConstantControl, window: float | None = None
-) -> np.ndarray:
-    """True for grid samples farther than ``window`` from any interior
-    breakpoint of u."""
-    if window is None:
-        window = BREAKPOINT_WINDOW * (u.b - u.a)
+def breakpoint_mask(grid: np.ndarray, u: PiecewiseConstantControl) -> np.ndarray:
+    """True for grid samples farther than BREAKPOINT_WINDOW times the
+    horizon from any interior breakpoint of u."""
     interior = u.breakpoints[1:-1]
     if interior.size == 0:
         return np.ones(grid.size, dtype=bool)
     dist = np.min(np.abs(grid[:, None] - interior[None, :]), axis=1)
-    return dist > window
+    return dist > BREAKPOINT_WINDOW * (u.b - u.a)
 
 
 class _Extremal(NamedTuple):
@@ -210,8 +206,6 @@ def _sample_extremal(
     traj: Trajectory,
     u: PiecewiseConstantControl | None,
     dynamics: NonlinearDynamics | None = None,
-    zero_tol: float = 1e-9,
-    window: float | None = None,
 ) -> _Extremal:
     """Costates and Hamiltonian of (ap, traj) with the off-breakpoint mask.
 
@@ -219,7 +213,7 @@ def _sample_extremal(
     dynamics use one backward RK4 pass, which also yields the Jacobians
     the adjoint defect needs. Without a control every sample is kept.
     """
-    keep = np.ones(traj.grid.size, dtype=bool) if u is None else breakpoint_mask(traj.grid, u, window)
+    keep = np.ones(traj.grid.size, dtype=bool) if u is None else breakpoint_mask(traj.grid, u)
     if dynamics is None:
         costates, jacobians, velocities = adjoint_on_grid(prob, ap, traj.grid), None, None
     else:
@@ -227,7 +221,7 @@ def _sample_extremal(
         velocities = np.stack(
             [np.asarray(dynamics.phi(z, v), dtype=float) for z, v in zip(traj.states, traj.controls)]
         )
-    values = hamiltonian_values(prob, ap.eta, costates, traj.states, traj.controls, velocities, zero_tol)
+    values = hamiltonian_values(prob, ap.eta, costates, traj.states, traj.controls, velocities)
     return _Extremal(keep, costates, values, jacobians)
 
 
@@ -264,15 +258,13 @@ def hamiltonian_profile(
     ap: AdjointParams,
     traj: Trajectory,
     u: PiecewiseConstantControl,
-    zero_tol: float = 1e-9,
-    window: float | None = None,
 ) -> HamiltonianProfile:
     """Hamiltonian of the extremal candidate sampled on the trajectory grid.
 
     Uses the analytic LTI costate. Along a genuine extremal the profile is
     constant off switching instants.
     """
-    ex = _sample_extremal(prob, ap, traj, u, zero_tol=zero_tol, window=window)
+    ex = _sample_extremal(prob, ap, traj, u)
     return HamiltonianProfile(values=ex.values, off_breakpoint=ex.keep)
 
 
@@ -281,7 +273,6 @@ def save_trajectory(
     path: str | Path,
     prob: Problem | None = None,
     ap: AdjointParams | None = None,
-    zero_tol: float = 1e-9,
 ) -> None:
     """Write a trajectory CSV: t, states, controls, and (when a multiplier
     is supplied) switching components and the Hamiltonian."""
@@ -292,7 +283,7 @@ def save_trajectory(
     if ap is not None:
         if prob is None:
             raise ValueError("writing switching columns requires the problem")
-        ex = _sample_extremal(prob, ap, traj, None, zero_tol=zero_tol)
+        ex = _sample_extremal(prob, ap, traj, None)
         header += [f"s_{i + 1}" for i in range(m)] + ["H"]
         columns += [ex.costates @ prob.G, ex.values[:, None]]
     table = np.column_stack([np.atleast_2d(c.T).T if c.ndim == 1 else c for c in columns])

@@ -26,7 +26,7 @@ every start has stalled, which ends infeasible structures early.
 
 The sweep stops as soon as the incumbent is certified globally optimal.
 Every terminal costate p gives a Lagrange dual lower bound g(p) on the
-support of every feasible control (:func:`handsoff.certify.dual_bound`);
+support of every feasible control (:func:`handsoff.certificate.dual_bound`);
 the crossing equations of each new incumbent give a candidate p. Once the
 incumbent's support is within SUPPORT_TIE / 2 of the best bound, no later
 structure can undercut it by the SUPPORT_TIE a takeover needs, so the
@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lp
-from .certify import CertificateReport, _certify_trajectory, dual_bound
+from .certificate import CertificateReport, _certify_trajectory, dual_bound
 from .control_law import AdjointParams, bang_off_bang, candidate_distance
 from .linalg import ExpKernel, zoh_block
 from .model import Ball, Box, PiecewiseConstantControl, Problem, Trajectory, l0_cost
@@ -61,8 +61,8 @@ class InfeasibleProblemError(RuntimeError):
 
 
 class NoFeasibleStructureError(RuntimeError):
-    """No enumerated structure met the endpoint; a larger segment budget
-    may be needed."""
+    """No enumerated structure met the endpoint. The message says whether a
+    larger segment budget or a longer horizon is the likely remedy."""
 
 
 class StructureBudgetError(ValueError):
@@ -276,6 +276,9 @@ _DAMPING_MAX = 1e10
 _STALL_ITERATIONS = 5
 _STALL_GAIN = 1e-9
 
+#: Dirichlet starts per structure fit in :func:`synth_l0`.
+_FIT_STARTS = 20
+
 
 def _structure_map(prob: Problem, st: Structure):
     """The endpoint map of one structure in its free variables.
@@ -431,20 +434,9 @@ def _assemble_control(
 #: no control meets ends in an empty structure search instead.
 _GATE_SLACK = 1e-3
 
-
-def _min_time_shortcut(prob: Problem, n_intervals: int, slack: float = 1e-9) -> float | None:
-    """What :func:`min_time` returns when no bisection is needed, else None.
-
-    0.0 when the plant rests at the target, +inf when even the full
-    horizon cannot steer A to B (one LP, scaling above 1 + ``slack``).
-    None means the full horizon is feasible; the bisection never returns
-    more than it, so None alone already says ``min_time(prob) <= prob.horizon``.
-    """
-    if np.allclose(prob.A, prob.B) and np.allclose(prob.F @ prob.A, 0.0):
-        return 0.0
-    if lp.linf_feasibility(prob, prob.horizon, n_intervals) > 1.0 + slack:
-        return float("inf")
-    return None
+#: Scalings up to 1 + _FEASIBLE_SLACK count as feasible: in :func:`min_time`,
+#: and in the remedy :func:`synth_l0` names when its sweep finds nothing.
+_FEASIBLE_SLACK = 1e-9
 
 
 def min_time(prob: Problem, tol: float = 1e-3, n_intervals: int = 200) -> float:
@@ -452,15 +444,17 @@ def min_time(prob: Problem, tol: float = 1e-3, n_intervals: int = 200) -> float:
 
     Bisects the horizon against the LP feasibility scaling
     (:func:`handsoff.lp.linf_feasibility` <= 1 means feasible). Returns
-    +inf when even the full horizon cannot steer A to B.
+    0.0 when the plant rests at the target and +inf when even the full
+    horizon cannot steer A to B.
     """
-    shortcut = _min_time_shortcut(prob, n_intervals)
-    if shortcut is not None:
-        return shortcut
+    if np.allclose(prob.A, prob.B) and np.allclose(prob.F @ prob.A, 0.0):
+        return 0.0
+    if lp.linf_feasibility(prob, prob.horizon, n_intervals) > 1.0 + _FEASIBLE_SLACK:
+        return float("inf")
     lo, hi = 0.0, prob.horizon
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if lp.linf_feasibility(prob, mid, n_intervals) <= 1.0 + 1e-9:
+        if lp.linf_feasibility(prob, mid, n_intervals) <= 1.0 + _FEASIBLE_SLACK:
             hi = mid
         else:
             lo = mid
@@ -472,7 +466,6 @@ def synth_l0(
     k_max: int | None = None,
     feas_tol: float = 1e-6,
     zero_tol: float = 1e-9,
-    starts: int = 20,
     seed: int = 42,
 ) -> SynthResult:
     """Synthesize a minimum-support control for an LTI steering task.
@@ -482,14 +475,14 @@ def synth_l0(
     (within SUPPORT_TIE, ties go to the earlier structure). A fit becomes
     the incumbent only once its assembled control, propagated exactly,
     meets the endpoint within ``feas_tol``. The winner is handed to
-    :func:`recover_adjoint` and certified (:func:`handsoff.certify.certify`)
+    :func:`recover_adjoint` and certified (:func:`handsoff.certificate.certify`)
     on the trajectory it was accepted with; a passing normal certificate
     marks the result locally optimal, which for state-affine dynamics is
     exactly the sufficiency condition.
 
     For box inputs each new incumbent's normal crossing equations
     (:func:`_crossing_least_squares`) give a terminal costate, and
-    :func:`handsoff.certify.dual_bound` at it a lower bound on the support
+    :func:`handsoff.certificate.dual_bound` at it a lower bound on the support
     of every feasible control; ``lower_bound`` keeps the best one, also
     taken at the certificate's multiplier when that is normal. The sweep
     stops once the incumbent's support is at most ``lower_bound +
@@ -504,17 +497,16 @@ def synth_l0(
     if k_max is None:
         k_max = 2 * prob.d + 1
     structures = enumerate_structures(prob.m, prob.U, k_max)
-    if isinstance(prob.U, Box):
-        # One feasibility LP at the full horizon gives min_time's verdict
-        # on the horizon without its bisection, up to the grid's gap
-        # (_GATE_SLACK). Ball sets skip this gate: the LP feasibility test
-        # is box-only, so infeasibility surfaces as an empty structure
-        # search instead.
-        if _min_time_shortcut(prob, n_intervals=200, slack=_GATE_SLACK) == float("inf"):
-            raise InfeasibleProblemError(
-                f"endpoint unreachable on the {prob.horizon:.6g}-unit horizon: "
-                f"the minimum transfer time exceeds it (feasibility scaling > {1.0 + _GATE_SLACK:g})"
-            )
+    # One feasibility LP at the full horizon gives min_time's verdict on the
+    # horizon without its bisection, up to the grid's gap (_GATE_SLACK). Ball
+    # sets skip this gate: the LP feasibility test is box-only, so
+    # infeasibility surfaces as an empty structure search instead.
+    scaling = lp.linf_feasibility(prob, prob.horizon, 200) if isinstance(prob.U, Box) else 0.0
+    if scaling > 1.0 + _GATE_SLACK:
+        raise InfeasibleProblemError(
+            f"endpoint unreachable on the {prob.horizon:.6g}-unit horizon: "
+            f"the minimum transfer time exceeds it (feasibility scaling > {1.0 + _GATE_SLACK:g})"
+        )
 
     trials: list[TrialRecord] = []
     best_support = float("inf")
@@ -529,7 +521,7 @@ def synth_l0(
         durations, values, residual, iterations = _fit_structure(
             prob,
             st,
-            starts=starts,
+            starts=_FIT_STARTS,
             seed=seed + order,
             stop_residual=min(1e-10, 0.01 * feas_tol),
             maxiter=300,
@@ -553,9 +545,15 @@ def synth_l0(
         trials.append(TrialRecord(st, float(residual), support, bool(feasible), iterations))
 
     if best is None:
+        if scaling > 1.0 + _FEASIBLE_SLACK:
+            hint = (
+                f"the feasibility scaling {scaling:.9g} exceeds 1, so the endpoint is likely "
+                f"unreachable on the {prob.horizon:.6g}-unit horizon"
+            )
+        else:
+            hint = "try a larger k_max"
         raise NoFeasibleStructureError(
-            f"no structure with up to {k_max} segments met the endpoint within {feas_tol:g}; "
-            "try a larger k_max"
+            f"no structure with up to {k_max} segments met the endpoint within {feas_tol:g}; {hint}"
         )
 
     control, traj, residual = best
@@ -577,22 +575,22 @@ def synth_l0(
     )
 
 
-#: Multipliers :func:`recover_adjoint` scores when no crossing candidate passes.
+#: Multipliers :func:`recover_adjoint` scores when no crossing candidate
+#: passes; the samples of its consistency loss and the loss it accepts.
 _SCREEN_POINTS = 50
+_RECOVER_SAMPLES = 1001
+_RECOVER_LOSS = 1e-6
 
 
 def recover_adjoint(
-    prob: Problem,
-    control: PiecewiseConstantControl,
-    grid_n: int = 1001,
-    loss_tol: float = 1e-6,
-    seed: int = 42,
+    prob: Problem, control: PiecewiseConstantControl, seed: int = 42
 ) -> AdjointParams | None:
     """Find a multiplier (eta, p_hat) consistent with a control.
 
     The verdict is the consistency loss: the summed distance between the
     control samples and the bang-off-bang candidate set implied by the
-    switching function, at most ``loss_tol``. For box inputs the
+    switching function at _RECOVER_SAMPLES instants, at most
+    _RECOVER_LOSS. For box inputs the
     candidates come from the control's own transitions: each one pins the
     switching function to a threshold at that instant, an equation linear
     in p_hat (:func:`_crossing_least_squares`). Controls without such
@@ -605,7 +603,7 @@ def recover_adjoint(
     tolerance; that is a verdict (no multiplier was found that makes the
     control an extremal), not an error.
     """
-    grid = np.linspace(prob.a, prob.b, grid_n)
+    grid = np.linspace(prob.a, prob.b, _RECOVER_SAMPLES)
     keep = breakpoint_mask(grid, control)
     grid = grid[keep]
     u_samples = control.sample(grid)
@@ -633,7 +631,7 @@ def recover_adjoint(
         normalize = eta == 0
         if isinstance(prob.U, Box):
             for p in _crossing_least_squares(prob, control, eta, costate_flow):
-                if np.linalg.norm(p) >= 1e-9 and loss_batch(p, eta, normalize)[0] <= loss_tol:
+                if np.linalg.norm(p) >= 1e-9 and loss_batch(p, eta, normalize)[0] <= _RECOVER_LOSS:
                     return AdjointParams(eta, p)
 
         rows = [np.asarray(v, dtype=float) for v in deterministic]
@@ -641,7 +639,7 @@ def recover_adjoint(
             rows.append(rng.normal(size=d) * rng.uniform(0.3, 5.0))
         screen = np.asarray(rows)
         losses = loss_batch(screen, eta, normalize)
-        if float(losses.min()) <= loss_tol:
+        if float(losses.min()) <= _RECOVER_LOSS:
             return AdjointParams(eta, screen[int(np.argmin(losses))])
     return None
 

@@ -9,8 +9,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# sparse_vs_l1.py is left out: it repeats the ex2 acceptance run (~15 s).
-DEMOS = ["bang_off_bang_law.py", "certificates.py", "feasibility_and_lp.py"]
+DEMOS = ["bang_off_bang_law.py", "certificates.py", "feasibility_and_lp.py", "sparse_vs_l1.py"]
 
 
 @pytest.mark.parametrize("name", DEMOS)
