@@ -129,6 +129,8 @@ def _check_ranges(args) -> None:
     kmax = getattr(args, "kmax", None)
     if kmax is not None and not 1 <= kmax <= 31:
         raise _UsageError(f"--kmax must be in [1, 31], got {kmax}")
+    if args.command == "min-time" and not (np.isfinite(args.tol) and args.tol > 0):
+        raise _UsageError(f"--tol must be finite and positive, got {args.tol}")
 
 
 def _parse_vector(text: str) -> np.ndarray:

@@ -16,8 +16,13 @@ lowers the objective, so no basis repeats across them. The leaving
 variable is the ratio-test minimum with smallest-index ties. Each basis
 is factored once; a bound flip keeps it. The one factorization serves the
 basic values, the duals and the entering column of every pivot until the
-basis changes. Everything is deterministic, which is what
-reproducible experiments need.
+basis changes. An optimal solution returns the duals of its final basis,
+y = c_B^T B^-1, which the last factorization already gives. Those duals
+can start another LP with the same rows: each variable begins at the
+bound its reduced cost under them favours, which puts a nearby LP a few
+pivots from its optimum (how :func:`handsoff.synth.min_time` warm-starts
+its bisection). Everything is deterministic, which is what reproducible
+experiments need.
 
 The L1 relaxation of a steering task is assembled on a uniform grid with
 the exact zero-order-hold transition pair, so the discrete dynamics carry
@@ -97,6 +102,10 @@ class LpSolution:
     objective: float
     status: LpStatus
     iterations: int
+    #: Row duals y = c_B^T B^-1 of the optimal basis (None unless OPTIMAL):
+    #: the reduced costs c - a_eq^T y are >= 0 at lower bounds, <= 0 at
+    #: upper bounds and 0 on basic variables.
+    duals: np.ndarray | None = None
 
 
 _AT_LOWER, _AT_UPPER, _FREE = 0, 1, 2
@@ -106,12 +115,22 @@ _DEGENERATE_STEP = 1e-12  # a basis change moving no further is degenerate
 _BLAND_AFTER = 50  # consecutive degenerate basis changes before Bland pricing
 
 
-def simplex_solve(problem: LpProblem, max_iterations: int = 10**6) -> LpSolution:
+def simplex_solve(
+    problem: LpProblem, max_iterations: int = 10**6, *, start_duals: np.ndarray | None = None
+) -> LpSolution:
     """Solve a bounded-variable LP by two-phase primal simplex.
 
     Returns the classic trichotomy in ``status``; an exhausted iteration
     budget is reported as ``ITERATION_LIMIT`` rather than being passed off
-    as one of the three outcomes.
+    as one of the three outcomes. An optimal solution carries its row
+    duals in ``duals``.
+
+    ``start_duals`` warm-starts the nonbasic bounds from the duals of a
+    nearby LP with the same rows: each variable whose reduced cost under
+    them exceeds the optimality tolerance in magnitude starts at the
+    finite bound that reduced cost favours, every other one where the
+    cold start puts it. Both phases then run as usual, so the start
+    changes the pivot path, not the optimum.
     """
     n, rows = problem.n, problem.rows
     lo = np.concatenate([problem.lower, np.zeros(rows)])
@@ -120,8 +139,13 @@ def simplex_solve(problem: LpProblem, max_iterations: int = 10**6) -> LpSolution
     # Nonbasic start: every structural variable at a finite bound.
     finite_lo, finite_hi = np.isfinite(problem.lower), np.isfinite(problem.upper)
     from_upper = ~finite_lo & finite_hi
+    if start_duals is not None:
+        # Each variable moves to the finite bound its reduced cost favours.
+        reduced = problem.c - problem.a_eq.T @ np.asarray(start_duals, dtype=float)
+        from_upper &= ~((reduced > _DTOL) & finite_lo)
+        from_upper |= (reduced < -_DTOL) & finite_hi
     x = np.zeros(n + rows)
-    x[:n] = np.where(finite_lo, problem.lower, np.where(from_upper, problem.upper, 0.0))
+    x[:n] = np.where(from_upper, problem.upper, np.where(finite_lo, problem.lower, 0.0))
     stat = np.full(n + rows, _AT_LOWER, dtype=int)
     stat[:n][from_upper] = _AT_UPPER
     stat[:n][~finite_lo & ~finite_hi] = _FREE
@@ -133,7 +157,7 @@ def simplex_solve(problem: LpProblem, max_iterations: int = 10**6) -> LpSolution
     x[n:] = np.abs(residual)
 
     phase1_cost = np.concatenate([np.zeros(n), np.ones(rows)])
-    iterations, status = _simplex_core(a_full, problem.b_eq, phase1_cost, lo, hi, basis, stat, x, max_iterations)
+    iterations, status, _ = _simplex_core(a_full, problem.b_eq, phase1_cost, lo, hi, basis, stat, x, max_iterations)
     if status is not LpStatus.OPTIMAL:
         return LpSolution(x[:n].copy(), float("nan"), status, iterations)
     if float(phase1_cost @ x) > 1e-8 * (1.0 + float(np.abs(problem.b_eq).max(initial=0.0))):
@@ -144,17 +168,18 @@ def simplex_solve(problem: LpProblem, max_iterations: int = 10**6) -> LpSolution
     hi[n:] = 0.0
     x[n:] = np.where(np.isin(np.arange(n, n + rows), basis), x[n:], 0.0)
     phase2_cost = np.concatenate([problem.c, np.zeros(rows)])
-    more, status = _simplex_core(
+    more, status, duals = _simplex_core(
         a_full, problem.b_eq, phase2_cost, lo, hi, basis, stat, x, max_iterations - iterations
     )
     iterations += more
     x_struct = np.clip(x[:n], problem.lower, problem.upper)
     objective = float(problem.c @ x_struct) if status is LpStatus.OPTIMAL else float("nan")
-    return LpSolution(x_struct, objective, status, iterations)
+    return LpSolution(x_struct, objective, status, iterations, duals)
 
 
-def _simplex_core(a_full, b_eq, cost, lo, hi, basis, stat, x, budget) -> tuple[int, LpStatus]:
-    """Run simplex pivots in place; returns (iterations, status)."""
+def _simplex_core(a_full, b_eq, cost, lo, hi, basis, stat, x, budget) -> tuple[int, LpStatus, np.ndarray | None]:
+    """Run simplex pivots in place; returns (iterations, status, duals), the
+    duals y of the final basis when the status is OPTIMAL, else None."""
     total = a_full.shape[1]
     identity = np.eye(a_full.shape[0])
     columns = np.ascontiguousarray(a_full.T)  # a row take gathers columns
@@ -164,7 +189,7 @@ def _simplex_core(a_full, b_eq, cost, lo, hi, basis, stat, x, budget) -> tuple[i
     refactor = True
     while True:
         if iterations >= budget:
-            return iterations, LpStatus.ITERATION_LIMIT
+            return iterations, LpStatus.ITERATION_LIMIT, None
         iterations += 1
 
         if refactor:
@@ -189,7 +214,7 @@ def _simplex_core(a_full, b_eq, cost, lo, hi, basis, stat, x, budget) -> tuple[i
         )
         candidates_idx = np.flatnonzero(eligible)
         if candidates_idx.size == 0:
-            return iterations, LpStatus.OPTIMAL
+            return iterations, LpStatus.OPTIMAL, y
         if degenerate_run >= _BLAND_AFTER:
             entering = int(candidates_idx[0])  # Bland: smallest index
         else:
@@ -230,7 +255,7 @@ def _simplex_core(a_full, b_eq, cost, lo, hi, basis, stat, x, budget) -> tuple[i
             best_t, best_index, best_pos = flip_t, entering, -1
 
         if not np.isfinite(best_t):
-            return iterations, LpStatus.UNBOUNDED
+            return iterations, LpStatus.UNBOUNDED, None
 
         if best_pos < 0:
             # Bound flip: no basis change, and a strict objective decrease.
@@ -330,23 +355,31 @@ def linf_feasibility(prob: Problem, horizon: float, n_intervals: int) -> float:
     A value <= 1 means the task is feasible at that horizon; +inf means
     the endpoint is unreachable in this control class at any scaling.
     """
+    return _gauge_scaling(prob, horizon, n_intervals)[0]
+
+
+def _gauge_scaling(
+    prob: Problem, horizon: float, n_intervals: int, start_duals: np.ndarray | None = None
+) -> tuple[float, np.ndarray | None]:
+    """:func:`linf_feasibility` with the gauge LP's duals beside the scaling
+    (None when no LP was needed), its simplex started from ``start_duals``."""
     if not horizon > 0:
         raise ValueError("horizon must be positive")
     box = _require_box(prob, "the feasibility test")
     columns, lower, upper, drift = _input_columns(prob, box, horizon, n_intervals)
     target = prob.B - drift
     if float(np.abs(target).max(initial=0.0)) <= 1e-12:
-        return 0.0
+        return 0.0, None
 
     a_eq = np.column_stack([columns, -target])
     lower, upper = np.append(lower, 0.0), np.append(upper, np.inf)
     cost = np.zeros(columns.shape[1] + 1)
     cost[-1] = -1.0
 
-    sol = simplex_solve(LpProblem(cost, a_eq, np.zeros(prob.d), lower, upper))
+    sol = simplex_solve(LpProblem(cost, a_eq, np.zeros(prob.d), lower, upper), start_duals=start_duals)
     if sol.status is not LpStatus.OPTIMAL:
         raise LpError(sol.status, "feasibility scaling")
     gamma = float(sol.x[-1])
     if gamma <= 1e-9:
-        return float("inf")
-    return 1.0 / gamma
+        return float("inf"), sol.duals
+    return 1.0 / gamma, sol.duals

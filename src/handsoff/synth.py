@@ -443,18 +443,30 @@ def min_time(prob: Problem, tol: float = 1e-3, n_intervals: int = 200) -> float:
     """Shortest horizon (within tol) on which the steering task is feasible.
 
     Bisects the horizon against the LP feasibility scaling
-    (:func:`handsoff.lp.linf_feasibility` <= 1 means feasible). Returns
-    0.0 when the plant rests at the target and +inf when even the full
-    horizon cannot steer A to B.
+    (:func:`handsoff.lp.linf_feasibility` <= 1 means feasible), until the
+    bracket is at most ``tol`` wide or its midpoint no longer splits it.
+    Each gauge LP starts from the duals of the one before: consecutive
+    LPs differ only by a small change of horizon, so the bang-off-bang
+    start those duals give is close to the next optimum. Returns 0.0 when
+    the plant rests at the target and +inf when even the full horizon
+    cannot steer A to B. Raises ValueError unless ``tol`` is finite and
+    positive.
     """
-    if np.allclose(prob.A, prob.B) and np.allclose(prob.F @ prob.A, 0.0):
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
+    at_rest = np.abs(prob.B - prob.A).max(initial=0.0) <= 1e-12
+    if at_rest and np.abs(prob.F @ prob.A).max(initial=0.0) <= 1e-12:
         return 0.0
-    if lp.linf_feasibility(prob, prob.horizon, n_intervals) > 1.0 + _FEASIBLE_SLACK:
+    scaling, duals = lp._gauge_scaling(prob, prob.horizon, n_intervals)
+    if scaling > 1.0 + _FEASIBLE_SLACK:
         return float("inf")
     lo, hi = 0.0, prob.horizon
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if lp.linf_feasibility(prob, mid, n_intervals) <= 1.0 + _FEASIBLE_SLACK:
+        if mid <= lo or mid >= hi:
+            break
+        scaling, duals = lp._gauge_scaling(prob, mid, n_intervals, duals)
+        if scaling <= 1.0 + _FEASIBLE_SLACK:
             hi = mid
         else:
             lo = mid

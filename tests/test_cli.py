@@ -278,6 +278,17 @@ class TestMinTimeCommand:
         assert main(["certify"]) == 1
         capsys.readouterr()
 
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+    def test_bad_tol_is_usage_error(self, capsys, ex1_file, tol):
+        assert main(["min-time", str(ex1_file), f"--tol={tol}"]) == 1
+        assert "--tol must be finite and positive" in capsys.readouterr().err
+
+    def test_tiny_tol_finishes(self, capsys, ex1_file):
+        # The bracket stops shrinking at adjacent floats, not at 1e-300.
+        code, kv = _run(capsys, ["min-time", str(ex1_file), "--tol", "1e-300"])
+        assert code == 0
+        assert float(kv["min_time"]) == pytest.approx(3.0, abs=1e-2)
+
 
 class TestBallProblem:
     def test_solve_l0_ball_input(self, capsys, tmp_path):

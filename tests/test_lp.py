@@ -91,7 +91,7 @@ def feasibility_lp(prob: Problem, horizon: float, n_intervals: int, monkeypatch)
     """The gauge LP that linf_feasibility solves."""
     seen = []
     with monkeypatch.context() as m:
-        m.setattr(lp, "simplex_solve", lambda q: seen.append(q) or simplex_solve(q))
+        m.setattr(lp, "simplex_solve", lambda q, **kw: seen.append(q) or simplex_solve(q, **kw))
         linf_feasibility(prob, horizon, n_intervals)
     return seen[0]
 
@@ -119,6 +119,8 @@ def assert_same_solution(got, want):
     assert got.iterations == want.iterations
     assert np.array_equal(got.objective, want.objective, equal_nan=True)
     assert np.array_equal(got.x, want.x)
+    assert (got.duals is None) == (want.duals is None)
+    assert got.duals is None or np.array_equal(got.duals, want.duals)
 
 
 @pytest.fixture(params=["dantzig", "bland"])
@@ -424,6 +426,84 @@ class TestFeasibilityScaling:
         assert linf_feasibility(prob, 1.0, 50) == np.inf
 
 
+def dual_objective(p: LpProblem, y: np.ndarray) -> float:
+    """The bounded-variable LP's dual function at y: b @ y plus, per
+    variable, the least value of its reduced cost times x over its bounds
+    (a reduced cost within _DTOL counts as zero)."""
+    reduced = p.c - p.a_eq.T @ y
+    at = np.where(reduced > 0, p.lower, p.upper)
+    live = np.abs(reduced) > _DTOL
+    return float(p.b_eq @ y + reduced[live] @ at[live])
+
+
+class TestDuals:
+    def test_dual_feasible_and_strong_duality(self):
+        # Over the reference suite: the duals price every variable toward a
+        # finite bound it sits at, and the dual function meets the primal
+        # objective. Where the optimum is nondegenerate (exactly `rows`
+        # variables strictly between their bounds, on a regular basis) the
+        # duals are unique, so HiGHS must report the same ones.
+        optimize = pytest.importorskip("scipy.optimize")
+        rng = np.random.default_rng(1103)
+        optimal = nondegenerate = 0
+        for _ in range(200):
+            p = random_reference_lp(rng)
+            sol = simplex_solve(p)
+            if sol.status is not LpStatus.OPTIMAL:
+                assert sol.duals is None
+                continue
+            optimal += 1
+            assert sol.duals.shape == (p.rows,)
+            reduced = p.c - p.a_eq.T @ sol.duals
+            up, down = reduced > _DTOL, reduced < -_DTOL
+            assert np.array_equal(sol.x[up], p.lower[up])
+            assert np.array_equal(sol.x[down], p.upper[down])
+            assert dual_objective(p, sol.duals) == pytest.approx(sol.objective, rel=1e-9, abs=1e-9)
+
+            interior = (sol.x > p.lower + 1e-7) & (sol.x < p.upper - 1e-7)
+            if interior.sum() != p.rows or np.linalg.cond(p.a_eq[:, interior]) > 1e8:
+                continue
+            nondegenerate += 1
+            bounds = [(lo if np.isfinite(lo) else None, hi if np.isfinite(hi) else None)
+                      for lo, hi in zip(p.lower, p.upper)]
+            want = optimize.linprog(p.c, A_eq=p.a_eq, b_eq=p.b_eq, bounds=bounds, method="highs")
+            assert want.status == 0
+            assert np.allclose(sol.duals, want.eqlin.marginals, rtol=1e-9, atol=1e-9)
+        assert optimal >= 100 and nondegenerate >= 100
+
+    def test_benchmark_duals(self, ex1, ex2):
+        # The L1 optima of the benchmarks meet their dual values.
+        for prob in (ex1, ex2, roadmap_d3_plant()):
+            p = build_l1_lp(prob, 200)
+            sol = simplex_solve(p)
+            assert dual_objective(p, sol.duals) == pytest.approx(sol.objective, rel=1e-9)
+
+    def test_warm_start_from_coarse_duals(self):
+        # ROADMAP item 1's pin: the 200-interval duals start the 600-interval
+        # L1 LP of the d=3 plant a few pivots from its optimum.
+        d3 = roadmap_d3_plant()
+        coarse = simplex_solve(build_l1_lp(d3, 200))
+        cold = simplex_solve(build_l1_lp(d3, 600))
+        warm = simplex_solve(build_l1_lp(d3, 600), start_duals=coarse.duals)
+        assert cold.iterations == 387
+        assert warm.status is LpStatus.OPTIMAL
+        assert warm.iterations <= 50
+        assert warm.objective == pytest.approx(cold.objective, rel=1e-9)
+
+    def test_any_start_reaches_the_same_outcome(self):
+        # The start moves only the pivot path: from arbitrary duals every LP
+        # of the reference suite ends with the cold run's status and optimum.
+        rng = np.random.default_rng(1103)
+        starts = np.random.default_rng(1109)
+        for _ in range(200):
+            p = random_reference_lp(rng)
+            cold = simplex_solve(p)
+            warm = simplex_solve(p, start_duals=starts.normal(0.0, 1.0, p.rows))
+            assert warm.status is cold.status
+            if cold.status is LpStatus.OPTIMAL:
+                assert warm.objective == pytest.approx(cold.objective, rel=1e-9, abs=1e-9)
+
+
 def test_solution_bounds_clipped(ex2):
     lp_prob = build_l1_lp(ex2, 100)
     sol = simplex_solve(lp_prob)
@@ -446,7 +526,7 @@ def _per_pivot_simplex_core(a_full, b_eq, cost, lo, hi, basis, stat, x, budget) 
     degenerate_run = 0
     while True:
         if iterations >= budget:
-            return iterations, LpStatus.ITERATION_LIMIT
+            return iterations, LpStatus.ITERATION_LIMIT, None
         iterations += 1
 
         basic_mask = np.zeros(total, dtype=bool)
@@ -469,7 +549,7 @@ def _per_pivot_simplex_core(a_full, b_eq, cost, lo, hi, basis, stat, x, budget) 
         )
         candidates_idx = np.flatnonzero(eligible)
         if candidates_idx.size == 0:
-            return iterations, LpStatus.OPTIMAL
+            return iterations, LpStatus.OPTIMAL, y
         if degenerate_run >= _BLAND_AFTER:
             entering = int(candidates_idx[0])  # Bland: smallest index
         else:
@@ -510,7 +590,7 @@ def _per_pivot_simplex_core(a_full, b_eq, cost, lo, hi, basis, stat, x, budget) 
             best_t, best_index, best_pos = flip_t, entering, -1
 
         if not np.isfinite(best_t):
-            return iterations, LpStatus.UNBOUNDED
+            return iterations, LpStatus.UNBOUNDED, None
 
         if best_pos < 0:
             # Bound flip: no basis change, and a strict objective decrease.

@@ -5,9 +5,11 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import brentq
 
 from conftest import random_problem
+from handsoff import lp
 from handsoff.linalg import ExpKernel
 from handsoff.lp import linf_feasibility
 from handsoff.model import Ball, Box, PiecewiseConstantControl, Problem, l0_cost
@@ -52,6 +54,70 @@ class TestMinTime:
     def test_infeasible_signal(self, ex1):
         short = Problem(F=ex1.F, G=ex1.G, a=0.0, b=2.0, A=ex1.A, B=ex1.B, U=ex1.U)
         assert min_time(short) == np.inf
+
+    def test_far_from_origin_is_not_at_rest(self, ex1):
+        # A and B agree to 5e-6 relative, yet 5 units of |u| <= 1 apart.
+        far = Problem(F=ex1.F, G=ex1.G, a=0.0, b=10.0, A=np.array([1e6]), B=np.array([1e6 + 5.0]), U=ex1.U)
+        assert linf_feasibility(far, 1.0, 200) == pytest.approx(5.0)
+        assert min_time(far, tol=1e-3) == pytest.approx(5.0, abs=2e-3)
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf])
+    def test_tol_must_be_finite_and_positive(self, ex1, tol):
+        with pytest.raises(ValueError, match="tol"):
+            min_time(ex1, tol=tol)
+
+    def test_tol_below_float_spacing_terminates(self, ex1):
+        # The bisection stops once the midpoint no longer splits the bracket.
+        assert min_time(ex1, tol=1e-300) == pytest.approx(3.0, abs=2e-3)
+
+    def test_warm_bisection_matches_cold(self, ex1, ex2):
+        short = Problem(F=ex1.F, G=ex1.G, a=0.0, b=2.0, A=ex1.A, B=ex1.B, U=ex1.U)
+        for prob in (ex1, ex2, d3_plant(), short):
+            assert min_time(prob, 1e-3, 200) == cold_min_time(prob, 1e-3, 200)
+
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**31), d=st.integers(1, 3), m=st.integers(1, 2), stable=st.booleans(),
+           reach=st.floats(0.05, 1.0))
+    @example(seed=0, d=1, m=1, stable=True, reach=1.0)  # unreachable on its horizon
+    @example(seed=3, d=1, m=2, stable=False, reach=1.0)
+    def test_warm_bisection_matches_cold_on_box_plants(self, seed, d, m, stable, reach):
+        prob = random_problem(np.random.default_rng(seed), d, m, stable)
+        prob = Problem(F=prob.F, G=prob.G, a=prob.a, b=prob.b, A=prob.A,
+                       B=prob.A + reach * (prob.B - prob.A), U=prob.U)
+        assert min_time(prob, 1e-3, 100) == cold_min_time(prob, 1e-3, 100)
+
+    def test_warm_bisection_pivots(self, monkeypatch):
+        # Started cold, the 14 gauge LPs take 1,657 pivots in all on this plant.
+        pivots = []
+        solve = lp.simplex_solve
+
+        def counting(q, **kw):
+            sol = solve(q, **kw)
+            pivots.append(sol.iterations)
+            return sol
+
+        monkeypatch.setattr(lp, "simplex_solve", counting)
+        min_time(d3_plant(), 1e-3, 200)
+        assert len(pivots) == 14
+        assert sum(pivots) <= 400
+
+
+def cold_min_time(prob: Problem, tol: float, n_intervals: int) -> float:
+    """min_time's bisection with every gauge LP started cold."""
+    if np.abs(prob.B - prob.A).max() <= 1e-12 and np.abs(prob.F @ prob.A).max() <= 1e-12:
+        return 0.0
+    if linf_feasibility(prob, prob.horizon, n_intervals) > 1.0 + 1e-9:
+        return np.inf
+    lo, hi = 0.0, prob.horizon
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        if linf_feasibility(prob, mid, n_intervals) <= 1.0 + 1e-9:
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def d3_plant(seed: int = 0) -> Problem:
