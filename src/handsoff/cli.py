@@ -129,8 +129,12 @@ def _check_ranges(args) -> None:
     kmax = getattr(args, "kmax", None)
     if kmax is not None and not 1 <= kmax <= 31:
         raise _UsageError(f"--kmax must be in [1, 31], got {kmax}")
-    if args.command == "min-time" and not (np.isfinite(args.tol) and args.tol > 0):
-        raise _UsageError(f"--tol must be finite and positive, got {args.tol}")
+    # A residual tolerance must admit something; --zero-tol 0 counts only
+    # exact zeros as off.
+    for name, kind in (("tol", "positive"), ("feas_tol", "positive"), ("zero_tol", "nonnegative")):
+        value = getattr(args, name, None)
+        if value is not None and not (np.isfinite(value) and (value > 0 or (kind == "nonnegative" and value == 0))):
+            raise _UsageError(f"--{name.replace('_', '-')} must be finite and {kind}, got {value}")
 
 
 def _parse_vector(text: str) -> np.ndarray:

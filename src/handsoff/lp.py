@@ -16,13 +16,17 @@ lowers the objective, so no basis repeats across them. The leaving
 variable is the ratio-test minimum with smallest-index ties. Each basis
 is factored once; a bound flip keeps it. The one factorization serves the
 basic values, the duals and the entering column of every pivot until the
-basis changes. An optimal solution returns the duals of its final basis,
-y = c_B^T B^-1, which the last factorization already gives. Those duals
-can start another LP with the same rows: each variable begins at the
-bound its reduced cost under them favours, which puts a nearby LP a few
-pivots from its optimum (how :func:`handsoff.synth.min_time` warm-starts
-its bisection). Everything is deterministic, which is what reproducible
-experiments need.
+basis changes, and so does one pricing pass: the eligible variables and
+their |reduced cost| are found once per basis, and since a flip keeps the
+reduced costs and only makes the flipped variable ineligible, the next
+entering variable comes from the same candidates with the flipped one's
+gain zeroed (the bounded-variable bookkeeping of Maros 2003). An optimal
+solution returns the duals of its final basis, y = c_B^T B^-1, which the
+last factorization already gives. Those duals can start another LP with
+the same rows: each variable begins at the bound its reduced cost under
+them favours, which puts a nearby LP a few pivots from its optimum (how
+:func:`handsoff.synth.min_time` warm-starts its bisection). Everything is
+deterministic, which is what reproducible experiments need.
 
 The L1 relaxation of a steering task is assembled on a uniform grid with
 the exact zero-order-hold transition pair, so the discrete dynamics carry
@@ -35,6 +39,7 @@ nonnegative parts, making the integral of |u| linear.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -180,10 +185,11 @@ def simplex_solve(
 def _simplex_core(a_full, b_eq, cost, lo, hi, basis, stat, x, budget) -> tuple[int, LpStatus, np.ndarray | None]:
     """Run simplex pivots in place; returns (iterations, status, duals), the
     duals y of the final basis when the status is OPTIMAL, else None."""
-    total = a_full.shape[1]
     identity = np.eye(a_full.shape[0])
     columns = np.ascontiguousarray(a_full.T)  # a row take gathers columns
     movable = hi - lo > 0.0  # pinned variables never re-enter
+    nonbasic = np.ones(a_full.shape[1], dtype=bool)
+    nonbasic[basis] = False
     iterations = 0
     degenerate_run = 0
     refactor = True
@@ -193,33 +199,37 @@ def _simplex_core(a_full, b_eq, cost, lo, hi, basis, stat, x, budget) -> tuple[i
         iterations += 1
 
         if refactor:
-            # One factorization per basis serves x_B, the duals and the
-            # entering column; a bound flip keeps all of it.
+            # One factorization per basis serves x_B, the duals, the entering
+            # columns and the pricing candidates; a bound flip keeps all of it.
             refactor = False
-            nonbasic = np.ones(total, dtype=bool)
-            nonbasic[basis] = False
             nonbasic_idx = np.flatnonzero(nonbasic)
             a_nonbasic = columns.take(nonbasic_idx, axis=0).T
             b_inv = solve_linear(a_full[:, basis], identity)
             y = b_inv.T @ cost[np.asarray(basis)]
             reduced = cost - a_full.T @ y
-            any_gain = nonbasic & (np.abs(reduced) > _DTOL)
-            up_gain = nonbasic & movable & (reduced < -_DTOL)
-            down_gain = nonbasic & movable & (reduced > _DTOL)
+            eligible = nonbasic & (
+                ((stat == _FREE) & (np.abs(reduced) > _DTOL))
+                | (movable & (stat == _AT_LOWER) & (reduced < -_DTOL))
+                | (movable & (stat == _AT_UPPER) & (reduced > _DTOL))
+            )
+            # A flip keeps the reduced costs and only makes the flipped
+            # variable ineligible, so it zeroes that candidate's gain.
+            candidates = np.flatnonzero(eligible)
+            gains = np.abs(reduced[candidates])
+            live = candidates.size
+            lo_basic, hi_basic = lo[basis].tolist(), hi[basis].tolist()
         rhs = b_eq - a_nonbasic @ x[nonbasic_idx]
-        x[basis] = b_inv @ rhs
+        x_basic = b_inv @ rhs
+        x[basis] = x_basic
 
-        eligible = (
-            ((stat == _FREE) & any_gain) | ((stat == _AT_LOWER) & up_gain) | ((stat == _AT_UPPER) & down_gain)
-        )
-        candidates_idx = np.flatnonzero(eligible)
-        if candidates_idx.size == 0:
+        if live == 0:
             return iterations, LpStatus.OPTIMAL, y
         if degenerate_run >= _BLAND_AFTER:
-            entering = int(candidates_idx[0])  # Bland: smallest index
+            pick = int(np.argmax(gains > 0.0))  # Bland: smallest eligible index
         else:
             # Dantzig: largest |reduced cost|, ties to the smallest index.
-            entering = int(candidates_idx[np.argmax(np.abs(reduced[candidates_idx]))])
+            pick = int(np.argmax(gains))
+        entering = int(candidates[pick])
 
         if stat[entering] == _FREE:
             sigma = 1.0 if reduced[entering] < 0 else -1.0
@@ -227,39 +237,41 @@ def _simplex_core(a_full, b_eq, cost, lo, hi, basis, stat, x, budget) -> tuple[i
             sigma = 1.0 if stat[entering] == _AT_LOWER else -1.0
 
         w = b_inv @ a_full[:, entering]
-        delta = -sigma * w  # per-unit motion of the basic values
+        delta = (-sigma * w).tolist()  # per-unit motion of the basic values
 
         # Candidate steps: every blocked basic variable, plus the entering
         # variable flipping to its own opposite bound.
-        best_t = np.inf
+        best_t = math.inf
         best_index = -1  # variable index, for Bland tie-breaking
         best_pos = -1
-        for pos, var in enumerate(basis):
-            if delta[pos] > _PTOL:
-                limit = hi[var]
-                t = (limit - x[var]) / delta[pos] if np.isfinite(limit) else np.inf
-            elif delta[pos] < -_PTOL:
-                limit = lo[var]
-                t = (x[var] - limit) / (-delta[pos]) if np.isfinite(limit) else np.inf
+        for pos, (var, value, step) in enumerate(zip(basis, x_basic.tolist(), delta)):
+            if step > _PTOL:
+                limit = hi_basic[pos]
+                t = (limit - value) / step if math.isfinite(limit) else math.inf
+            elif step < -_PTOL:
+                limit = lo_basic[pos]
+                t = (value - limit) / (-step) if math.isfinite(limit) else math.inf
             else:
                 continue
             t = max(t, 0.0)
             if t < best_t - 1e-12 or (t <= best_t + 1e-12 and (best_index < 0 or var < best_index)):
                 best_t, best_index, best_pos = t, var, pos
 
-        flip_t = hi[entering] - lo[entering] if stat[entering] != _FREE else np.inf
-        if np.isfinite(flip_t) and (
+        flip_t = float(hi[entering] - lo[entering]) if stat[entering] != _FREE else math.inf
+        if math.isfinite(flip_t) and (
             flip_t < best_t - 1e-12
             or (flip_t <= best_t + 1e-12 and (best_index < 0 or entering < best_index))
         ):
             best_t, best_index, best_pos = flip_t, entering, -1
 
-        if not np.isfinite(best_t):
+        if not math.isfinite(best_t):
             return iterations, LpStatus.UNBOUNDED, None
 
         if best_pos < 0:
             # Bound flip: no basis change, and a strict objective decrease.
             degenerate_run = 0
+            gains[pick] = 0.0
+            live -= 1
             stat[entering] = _AT_UPPER if stat[entering] == _AT_LOWER else _AT_LOWER
             x[entering] = hi[entering] if stat[entering] == _AT_UPPER else lo[entering]
             continue
@@ -270,6 +282,7 @@ def _simplex_core(a_full, b_eq, cost, lo, hi, basis, stat, x, budget) -> tuple[i
         x[leaving] = hi[leaving] if delta[best_pos] > 0 else lo[leaving]
         stat[leaving] = _AT_UPPER if delta[best_pos] > 0 else _AT_LOWER
         basis[best_pos] = entering
+        nonbasic[entering], nonbasic[leaving] = False, True
         refactor = True
 
 

@@ -342,18 +342,20 @@ def save_problem(prob: Problem, path: str | Path) -> None:
         fh.write("\n")
 
 
-def save_control(u: PiecewiseConstantControl, path: str | Path) -> None:
-    """Write a control as segment CSV: t_start, t_end, u_1..u_m.
+def write_csv(path: str | Path, header: list[str], table: np.ndarray) -> None:
+    """Write a header line and one line per table row, every value with 17
+    significant digits (so a load round-trip reproduces the exact doubles),
+    in one format operation for the whole table."""
+    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    body = "".join([row] * table.shape[0]) % tuple(table.ravel().tolist())
+    Path(path).write_text(",".join(header) + "\n" + body, encoding="utf-8")
 
-    Values are written with 17 significant digits so a load round-trip
-    reproduces the exact doubles.
-    """
-    lines = ["t_start,t_end," + ",".join(f"u_{i + 1}" for i in range(u.m))]
-    for k in range(u.values.shape[0]):
-        cells = [f"{u.breakpoints[k]:.17g}", f"{u.breakpoints[k + 1]:.17g}"]
-        cells += [f"{x:.17g}" for x in u.values[k]]
-        lines.append(",".join(cells))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+def save_control(u: PiecewiseConstantControl, path: str | Path) -> None:
+    """Write a control as segment CSV: t_start, t_end, u_1..u_m (see
+    :func:`write_csv`)."""
+    header = ["t_start", "t_end"] + [f"u_{i + 1}" for i in range(u.m)]
+    write_csv(path, header, np.column_stack([u.breakpoints[:-1], u.breakpoints[1:], u.values]))
 
 
 def load_control(path: str | Path) -> PiecewiseConstantControl:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .control_law import AdjointParams, adjoint_on_grid, hamiltonian_values
 from .linalg import mat_exp, zoh_block
-from .model import PiecewiseConstantControl, Problem, Trajectory
+from .model import PiecewiseConstantControl, Problem, Trajectory, write_csv
 
 #: Grid samples used by default when propagating for plots/certificates.
 DEFAULT_GRID = 1000
@@ -287,6 +287,4 @@ def save_trajectory(
         header += [f"s_{i + 1}" for i in range(m)] + ["H"]
         columns += [ex.costates @ prob.G, ex.values[:, None]]
     table = np.column_stack([np.atleast_2d(c.T).T if c.ndim == 1 else c for c in columns])
-    row = ",".join(["%.17g"] * table.shape[1])
-    lines = [",".join(header)] + [row % tuple(r) for r in table.tolist()]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_csv(path, header, table)

@@ -290,6 +290,39 @@ class TestMinTimeCommand:
         assert float(kv["min_time"]) == pytest.approx(3.0, abs=1e-2)
 
 
+class TestToleranceRanges:
+    # Out-of-range tolerances used to pass through: a failed certificate
+    # (exit 3), "infeasible" (exit 2), or a support of 5 for 3 (exit 0).
+    @pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
+    def test_certify_tol(self, capsys, ex2_file, ex2_run, tol):
+        control = ex2_run[2] / "ex2_l0_control.csv"
+        argv = ["certify", str(ex2_file), str(control), "--eta", "1", "--phat", "0,1", f"--tol={tol}"]
+        assert main(argv) == 1
+        assert "--tol must be finite and positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["solve-l0", "example"])
+    @pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
+    def test_feas_tol(self, capsys, ex1_file, command, tol):
+        target = str(ex1_file) if command == "solve-l0" else "ex1"
+        assert main([command, target, f"--feas-tol={tol}"]) == 1
+        assert "--feas-tol must be finite and positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["solve-l0", "solve-l1", "example"])
+    @pytest.mark.parametrize("tol", ["nan", "-1", "-inf", "inf"])
+    def test_zero_tol(self, capsys, ex1_file, command, tol):
+        target = "ex1" if command == "example" else str(ex1_file)
+        assert main([command, target, f"--zero-tol={tol}"]) == 1
+        assert "--zero-tol must be finite and nonnegative" in capsys.readouterr().err
+
+    def test_zero_tol_zero_counts_exact_zeros(self, capsys, tmp_path, ex1_file):
+        code, kv = _run(capsys, ["example", "ex1", "--zero-tol", "0", "--out", str(tmp_path)])
+        assert code == 0
+        assert float(kv["l0_support"]) == pytest.approx(3.0, abs=1e-6)
+        code, kv = _run(capsys, ["solve-l1", str(ex1_file), "--zero-tol", "0", "--out", str(tmp_path)])
+        assert code == 0
+        assert float(kv["support"]) == pytest.approx(3.0, abs=1e-6)
+
+
 class TestBallProblem:
     def test_solve_l0_ball_input(self, capsys, tmp_path):
         import json as json_mod

@@ -12,6 +12,7 @@ import scipy.integrate
 import scipy.linalg
 
 from handsoff.linalg import (
+    PIVOT_TOL,
     SingularMatrixError,
     discretize_zoh,
     mat_exp,
@@ -201,3 +202,110 @@ class TestSolveLinear:
     def test_pivoting_handles_zero_diagonal(self):
         m = np.array([[0.0, 1.0], [1.0, 0.0]])
         assert np.allclose(solve_linear(m, np.array([2.0, 3.0])), [3.0, 2.0])
+
+
+# The array elimination that solve_linear replaced, kept verbatim as the
+# reference its scalar elimination must match bit for bit.
+def _array_solve_linear(m: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve ``m @ x = rhs`` by Gaussian elimination with partial pivoting.
+
+    Raises :class:`SingularMatrixError` when the best available pivot has
+    magnitude at or below :data:`PIVOT_TOL`.
+    """
+    a = np.array(m, dtype=float)
+    b = np.array(rhs, dtype=float)
+    n = a.shape[0]
+    if a.shape != (n, n):
+        raise ValueError(f"solve_linear requires a square matrix, got shape {a.shape}")
+    one_d = b.ndim == 1
+    if one_d:
+        b = b[:, None]
+    if b.shape[0] != n:
+        raise ValueError(f"rhs has {b.shape[0]} rows, expected {n}")
+
+    for col in range(n):
+        pivot_row = col + int(np.argmax(np.abs(a[col:, col])))
+        pivot = a[pivot_row, col]
+        if abs(pivot) <= PIVOT_TOL:
+            raise SingularMatrixError(
+                f"pivot {abs(pivot):.3e} at column {col} below threshold {PIVOT_TOL:g}"
+            )
+        if pivot_row != col:
+            a[[col, pivot_row]] = a[[pivot_row, col]]
+            b[[col, pivot_row]] = b[[pivot_row, col]]
+        factors = a[col + 1:, col] / pivot
+        a[col + 1:, col:] -= factors[:, None] * a[col, col:]
+        b[col + 1:] -= factors[:, None] * b[col]
+
+    x = np.zeros_like(b)
+    for row in range(n - 1, -1, -1):
+        x[row] = (b[row] - a[row, row + 1:] @ x[row + 1:]) / a[row, row]
+    return x[:, 0] if one_d else x
+
+
+def _basis_like(rng: np.random.Generator, n: int) -> np.ndarray:
+    """A simplex-basis-shaped matrix: dense columns beside +-unit columns of
+    the artificials, in a random column order."""
+    m = rng.uniform(-2.0, 2.0, (n, n))
+    for j in rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False):
+        m[:, j] = 0.0
+        m[rng.integers(n), j] = rng.choice([-1.0, 1.0])
+    return m
+
+
+class TestSolveLinearReference:
+    def test_bitwise_equal_to_array_elimination(self):
+        rng = np.random.default_rng(1609)
+        for n in range(1, 9):
+            for trial in range(60):
+                m = _basis_like(rng, n) if trial % 2 else rng.normal(size=(n, n)) * 10.0 ** rng.integers(-3, 4)
+                for rhs in (rng.normal(size=n), np.eye(n), rng.normal(size=(n, 3))):
+                    try:
+                        want = _array_solve_linear(m, rhs)
+                    except SingularMatrixError as err:
+                        with pytest.raises(SingularMatrixError) as got:
+                            solve_linear(m, rhs)
+                        assert str(got.value) == str(err)
+                        continue
+                    got = solve_linear(m, rhs)
+                    assert got.shape == want.shape
+                    assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_singular_at_the_same_column(self, n):
+        rng = np.random.default_rng(n)
+        for col in range(n):
+            m = rng.uniform(-1.0, 1.0, (n, n))
+            m[:, col] = m[:, :col] @ rng.uniform(-1.0, 1.0, col)  # dependent on the columns before
+            for rhs in (np.ones(n), np.eye(n)):
+                with pytest.raises(SingularMatrixError) as want:
+                    _array_solve_linear(m, rhs)
+                with pytest.raises(SingularMatrixError) as got:
+                    solve_linear(m, rhs)
+                assert str(got.value) == str(want.value)
+                assert f"at column {col} " in str(got.value)
+
+    def test_ties_and_non_finite_entries_pivot_alike(self):
+        cases = [
+            np.array([[1.0, 2.0], [-1.0, 3.0]]),  # |pivot| tie: the first row
+            np.array([[0.0, 1.0], [0.0, 2.0]]),  # zero column
+            np.array([[1e-13, 2.0], [np.nan, 3.0]]),  # NaN pivots, as np.argmax picks it
+            np.array([[np.inf, 2.0], [np.nan, 3.0]]),
+            np.array([[1e-13, 2.0], [np.inf, 3.0]]),
+        ]
+        for m in cases:
+            for rhs in (np.array([1.0, -2.0]), np.eye(2)):
+                try:
+                    with np.errstate(all="ignore"):
+                        want = _array_solve_linear(m, rhs)
+                except SingularMatrixError as err:
+                    with pytest.raises(SingularMatrixError) as got:
+                        solve_linear(m, rhs)
+                    assert str(got.value) == str(err)
+                    continue
+                with np.errstate(all="ignore"):
+                    got = solve_linear(m, rhs)
+                assert np.array_equal(got, want, equal_nan=True)
+
+    def test_empty_system(self):
+        assert solve_linear(np.zeros((0, 0)), np.zeros(0)).shape == (0,)

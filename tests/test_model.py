@@ -173,6 +173,24 @@ class TestControlSerialization:
             assert np.array_equal(loaded.breakpoints, u.breakpoints)
             assert np.array_equal(loaded.values, u.values)
 
+    def test_bytes_match_per_cell_text(self, tmp_path):
+        # The whole file is one format operation; each cell formatted on its
+        # own gives the same text.
+        rng = np.random.default_rng(1610)
+        path = tmp_path / "u.csv"
+        for _ in range(25):
+            u = random_control(rng, -1.0, 3.0, m=int(rng.integers(1, 4)), max_segments=40)
+            values = u.values * 10.0 ** rng.integers(-300, 300, u.values.shape)
+            values[rng.random(values.shape) < 0.1] = -0.0
+            u = PiecewiseConstantControl(u.breakpoints, values)
+            save_control(u, path)
+            lines = ["t_start,t_end," + ",".join(f"u_{i + 1}" for i in range(u.m))]
+            for k in range(u.values.shape[0]):
+                cells = [f"{u.breakpoints[k]:.17g}", f"{u.breakpoints[k + 1]:.17g}"]
+                cells += [f"{x:.17g}" for x in u.values[k]]
+                lines.append(",".join(cells))
+            assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+
     def test_single_zero_segment(self, tmp_path):
         u = PiecewiseConstantControl([0.0, 2.0], [[0.0]])
         path = tmp_path / "u.csv"

@@ -11,6 +11,7 @@ from handsoff.model import Box, PiecewiseConstantControl, Problem
 from handsoff.sim import (
     BlowUpError,
     NonlinearDynamics,
+    _sample_extremal,
     endpoint_residual,
     hamiltonian_profile,
     linear_dynamics,
@@ -253,3 +254,23 @@ def test_trajectory_csv_columns(tmp_path, ex2, ex2_control):
     assert data.shape[1] == 6
     # Hamiltonian column is constant 1 along the certificate.
     assert np.abs(data[:, 5] - 1.0).max() < 1e-9
+
+
+def test_trajectory_csv_bytes_match_per_row_text(tmp_path, ex2, ex2_control):
+    # The whole file is one format operation; each row formatted on its own
+    # gives the same text.
+    traj = propagate_exact(ex2, ex2_control)
+    ap = AdjointParams(1, np.array([0.0, 1.0]))
+    ex = _sample_extremal(ex2, ap, traj, None)
+    path = tmp_path / "traj.csv"
+    for with_ap in (False, True):
+        save_trajectory(traj, path, prob=ex2, ap=ap if with_ap else None)
+        columns = [traj.grid[:, None], traj.states, traj.controls]
+        header = "t,z_1,z_2,u_1"
+        if with_ap:
+            columns += [ex.costates @ ex2.G, ex.values[:, None]]
+            header += ",s_1,H"
+        table = np.hstack(columns)
+        row = ",".join(["%.17g"] * table.shape[1])
+        lines = [header] + [row % tuple(r) for r in table.tolist()]
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
