@@ -7,12 +7,14 @@ control), ``singularity`` (the double-integrator L1 singularity test),
 benchmarks and emit a side-by-side comparison figure).
 
 Exit codes: 0 success, 1 usage or parse errors, 2 infeasible problems,
-3 failed certificates.
+3 failed certificates. The parser is built on the first :func:`main` call
+and reused by later calls in the same process.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -120,6 +122,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_mt.add_argument("--intervals", type=int, default=200)
     p_mt.add_argument("--tol", type=float, default=1e-3)
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """:func:`build_parser`, built on the first :func:`main` call and reused:
+    each parse fills a fresh namespace, so no state carries over."""
+    return build_parser()
 
 
 def _check_ranges(args) -> None:
@@ -320,9 +329,8 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         _check_ranges(args)
         return _COMMANDS[args.command](args)
     except _UsageError as exc:

@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import ExpKernel, mat_exp
+from .linalg import sorted_unique
 from .model import ZERO_TOL, Ball, Box, Problem
 
 #: Width of the band around a threshold inside which a switching value is
@@ -66,18 +66,19 @@ class AdjointParams:
 def adjoint_at(prob: Problem, ap: AdjointParams, t: float) -> np.ndarray:
     """Costate at time t: exp((b - t) F^T) p_hat."""
     _check_time(prob, t)
-    return mat_exp(prob.F.T, prob.b - t) @ ap.p_hat
+    return prob.costate_flow(prob.b - t) @ ap.p_hat
 
 
 def adjoint_on_grid(prob: Problem, ap: AdjointParams, grid: np.ndarray) -> np.ndarray:
     """Costate sampled on a time grid, shape (len(grid), d).
 
     Each sample is an independent exponential, so accuracy does not depend
-    on grid ordering or spacing. One kernel evaluates the grid in blocks of
-    :data:`GRID_BLOCK` samples, so memory stays flat in the grid length.
+    on grid ordering or spacing. The problem's costate kernel evaluates the
+    grid in blocks of :data:`GRID_BLOCK` samples, so memory stays flat in
+    the grid length.
     """
     lags = prob.b - np.asarray(grid, dtype=float)
-    flow = ExpKernel(prob.F.T)
+    flow = prob.costate_flow
     costates = np.empty((lags.size, prob.d))
     for start in range(0, lags.size, GRID_BLOCK):
         costates[start : start + GRID_BLOCK] = flow(lags[start : start + GRID_BLOCK]) @ ap.p_hat
@@ -247,13 +248,13 @@ def _input_grid(u_set: Box | Ball, m: int, grid_n: int) -> np.ndarray:
         axes = []
         for i in range(m):
             ax = np.linspace(u_set.lower[i], u_set.upper[i], grid_n)
-            axes.append(np.unique(np.concatenate([ax, [0.0]])))
+            axes.append(sorted_unique(np.concatenate([ax, [0.0]])))
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack([g.ravel() for g in mesh], axis=1)
     r = u_set.radius
     if m == 1:
         ax = np.linspace(-r, r, grid_n)
-        return np.unique(np.concatenate([ax, [0.0]]))[:, None]
+        return sorted_unique(np.concatenate([ax, [0.0]]))[:, None]
     if m == 2:
         n_ang = max(16, int(np.sqrt(grid_n) * 4))
         n_rad = max(8, grid_n // n_ang)

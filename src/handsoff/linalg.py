@@ -4,8 +4,10 @@ Everything here operates on desk-scale matrices (state dimensions of a
 few to ~20). Every matrix exponential in the library is exp(M t) for one
 M at many t, computed by one kernel, :class:`ExpKernel`; exact
 zero-order-hold discretization of ``zdot = F z + G u`` is that kernel on
-the augmented block matrix of :func:`zoh_block`. A partial-pivoting
-linear solve signals numerical singularity instead of returning garbage.
+the augmented block matrix of :func:`zoh_block`. A problem's two kernels
+are built once and kept on it (``Problem.costate_flow`` and
+``Problem.zoh_flow``). A partial-pivoting linear solve signals numerical
+singularity instead of returning garbage.
 """
 
 from __future__ import annotations
@@ -32,11 +34,22 @@ def _squarings(norms: np.ndarray) -> np.ndarray:
 
 
 def _square_up(e: np.ndarray, squarings: np.ndarray) -> np.ndarray:
-    """Square each stacked exponential of the scaled argument back up."""
-    for j in range(int(squarings.max()) if squarings.size else 0):
-        moving = squarings > j
-        part = e[moving]
-        e[moving] = part @ part
+    """Square each stacked exponential of the scaled argument back up.
+
+    The samples are sorted once by squaring count, so the ones still
+    squaring in round j are a contiguous suffix of the stack; each round
+    squares the same 2-D blocks a masked gather would, to the same bits.
+    """
+    rounds = int(squarings.max()) if squarings.size else 0
+    if rounds == 0:
+        return e
+    order = np.argsort(squarings, kind="stable")
+    counts = squarings[order]
+    es = e[order]
+    for j in range(rounds):
+        first = int(np.searchsorted(counts, j, side="right"))
+        es[first:] = es[first:] @ es[first:]
+    e[order] = es
     return e
 
 
@@ -133,6 +146,17 @@ def discretize_zoh(f: np.ndarray, g: np.ndarray, dt: float | np.ndarray) -> tupl
     d = np.shape(f)[0]
     e = mat_exp(aug, dt)
     return e[..., :d, :d], e[..., :d, d:]
+
+
+def sorted_unique(values: np.ndarray) -> np.ndarray:
+    """The sorted distinct entries of an array without NaN: ``np.unique``'s
+    own sort-and-compare, minus its NaN and masked-array branches, whose
+    lazy ``numpy.ma`` import costs a process ~20 ms on first use."""
+    x = np.sort(np.ravel(values))
+    keep = np.empty(x.shape, dtype=bool)
+    keep[:1] = True
+    keep[1:] = x[1:] != x[:-1]
+    return x[keep]
 
 
 def _first_argmax(values: list[float]) -> int:

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import discretize_zoh, solve_linear
+from .linalg import solve_linear
 from .model import Box, PiecewiseConstantControl, Problem
 
 
@@ -299,7 +299,8 @@ def _transition_maps(prob: Problem, horizon: float, n_intervals: int):
     ``drift_end + sum_k maps[k] @ u_k``.
     """
     dt = horizon / n_intervals
-    a_d, b_d = discretize_zoh(prob.F, prob.G, dt)
+    e = prob.zoh_flow(dt)
+    a_d, b_d = e[: prob.d, : prob.d], e[: prob.d, prob.d :]
     maps = np.empty((n_intervals, prob.d, prob.m))
     maps[n_intervals - 1] = b_d
     for k in range(n_intervals - 2, -1, -1):

@@ -7,6 +7,10 @@ both cases with 0 strictly interior). Controls are represented piecewise
 constant: ordered breakpoints plus one input vector per segment, each
 segment right-open.
 
+A problem owns the two exponential kernels every computation on it uses,
+``costate_flow`` = exp(F^T t) and ``zoh_flow`` = exp of the ZOH block of
+(F, G), each built on first use and kept for the problem's life.
+
 The hands-off objective is the support measure of the control: the total
 time during which the input is not (numerically) the zero vector. The
 identity ``support + time_at_zero = b - a`` ties it to the equivalent
@@ -17,9 +21,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
+
+from .linalg import ExpKernel, zoh_block
 
 #: Magnitude below which a control sample counts as "off", in the
 #: Hamiltonian's zero bonus and by default in the support measure.
@@ -143,6 +150,19 @@ class Problem:
     @property
     def horizon(self) -> float:
         return self.b - self.a
+
+    # The arrays are read-only and the dataclass frozen, so each kernel is
+    # built on first use and serves the problem for its whole life.
+    @cached_property
+    def costate_flow(self) -> ExpKernel:
+        """exp(F^T t): the costate is p(t) = costate_flow(b - t) @ p_hat."""
+        return ExpKernel(self.F.T)
+
+    @cached_property
+    def zoh_flow(self) -> ExpKernel:
+        """exp of the ZOH block (:func:`handsoff.linalg.zoh_block`): exp(F t)
+        top left, int_0^t exp(F s) ds @ G top right."""
+        return ExpKernel(zoh_block(self.F, self.G))
 
     def validate_control(self, u: "PiecewiseConstantControl") -> None:
         """Check that a control matches this problem's horizon, input

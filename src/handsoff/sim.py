@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .control_law import AdjointParams, adjoint_on_grid, hamiltonian_values
-from .linalg import mat_exp, zoh_block
+from .linalg import sorted_unique
 from .model import PiecewiseConstantControl, Problem, Trajectory, write_csv
 
 #: Grid samples used by default when propagating for plots/certificates.
@@ -107,14 +107,14 @@ def propagate_exact(
     Each grid state is reached from the start of its control segment.
     """
     prob.validate_control(u)
-    grid = np.unique(np.concatenate([np.linspace(prob.a, prob.b, samples), u.breakpoints]))
+    grid = sorted_unique(np.concatenate([np.linspace(prob.a, prob.b, samples), u.breakpoints]))
     d, n_seg = prob.d, u.values.shape[0]
     # Grid point i > 0 lies in the segment in effect at grid[i - 1]; segment
     # k owns steps starts[k]:ends[k] and starts from grid point starts[k].
     seg = np.clip(np.searchsorted(u.breakpoints, grid[:-1], side="right") - 1, 0, n_seg - 1)
     ends = np.searchsorted(seg, np.arange(n_seg), side="right")
     starts = np.concatenate([[0], ends[:-1]])
-    e = mat_exp(zoh_block(prob.F, prob.G), grid[1:] - grid[starts[seg]])
+    e = prob.zoh_flow(grid[1:] - grid[starts[seg]])
     drive = np.einsum("nij,nj->ni", e[:, :d, d:], u.values[seg])
     states = np.empty((grid.size, d))
     states[0] = prob.A

@@ -43,7 +43,6 @@ import numpy as np
 from . import lp
 from .certificate import CertificateReport, _certify_trajectory, dual_bound
 from .control_law import AdjointParams, bang_off_bang, candidate_distance
-from .linalg import ExpKernel, zoh_block
 from .model import Ball, Box, PiecewiseConstantControl, Problem, Trajectory, l0_cost
 from .sim import breakpoint_mask, endpoint_residual, propagate_exact
 
@@ -198,21 +197,22 @@ def enumerate_structures(m: int, u_set: Box | Ball, k_max: int) -> list[Structur
 
 
 def _endpoint_jacobian(
-    prob: Problem, zoh: ExpKernel, values: np.ndarray, durations: np.ndarray
+    prob: Problem, values: np.ndarray, durations: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Final states of a batch of candidates from A and their derivatives.
 
-    values (batch, segs, m), durations (batch, segs), ``zoh`` the kernel of
-    the problem's ZOH block. Returns the final states (batch, d), their derivatives in
-    the segment durations (batch, d, segs) and in the segment values
-    (batch, segs, d, m). Lengthening segment k by dt adds its end velocity
+    values (batch, segs, m), durations (batch, segs). Returns the final
+    states (batch, d), their derivatives in the segment durations
+    (batch, d, segs) and in the segment values (batch, segs, d, m).
+    Lengthening segment k by dt adds its end velocity
     F z_{k+1} + G v_k times dt at its end, which the later segment maps Psi
     carry to the final state; the value v_k enters the final state through
-    Psi B_d of segment k. One kernel call gives all of it.
+    Psi B_d of segment k. One call of the problem's ZOH kernel gives all
+    of it.
     """
     batch, segs, m = values.shape
     d = prob.d
-    e = zoh(durations.reshape(-1)).reshape(batch, segs, d + m, d + m)
+    e = prob.zoh_flow(durations.reshape(-1)).reshape(batch, segs, d + m, d + m)
     a_d, b_d = e[..., :d, :d], e[..., :d, d:]
     ends = np.empty((batch, segs, d))
     z = np.broadcast_to(prob.A, (batch, d))
@@ -294,7 +294,6 @@ def _structure_map(prob: Problem, st: Structure):
     horizon = prob.horizon
     segs = st.segments
     heads = segs - 1
-    zoh = ExpKernel(zoh_block(prob.F, prob.G))
     if any(lab in ("off", "on") for lab in st.labels):
         if not isinstance(prob.U, Ball) or prob.m not in (2, 3):
             raise ValueError("off/on labels require a ball input set with m in {2, 3}")
@@ -317,7 +316,7 @@ def _structure_map(prob: Problem, st: Structure):
             dirs, d_dirs = _ball_directions(x[:, cols], prob.m)
             values[:, k, :] = prob.U.radius * dirs
             turns.append(prob.U.radius * d_dirs)
-        z_end, d_tau, d_val = _endpoint_jacobian(prob, zoh, values, durations)
+        z_end, d_tau, d_val = _endpoint_jacobian(prob, values, durations)
         jac = np.empty((batch, prob.d, n_free))
         jac[:, :, :heads] = d_tau[:, :, :-1] - d_tau[:, :, -1:]
         for k, cols, turn in zip(on_positions, angles, turns):
@@ -524,7 +523,6 @@ def synth_l0(
     best_support = float("inf")
     lower_bound = float("-inf")
     best: tuple[PiecewiseConstantControl, Trajectory, float] | None = None
-    costate_flow = ExpKernel(prob.F.T)
 
     for order, st in enumerate(structures):
         if best_support <= lower_bound + SUPPORT_TIE / 2:
@@ -550,7 +548,7 @@ def synth_l0(
             if reached <= feas_tol:
                 best_support, best = support, (control, traj, reached)
                 if isinstance(prob.U, Box):
-                    for p in _crossing_least_squares(prob, control, 1, costate_flow):
+                    for p in _crossing_least_squares(prob, control, 1):
                         lower_bound = max(lower_bound, dual_bound(prob, p))
             else:
                 residual, feasible = reached, False
@@ -620,8 +618,7 @@ def recover_adjoint(
     grid = grid[keep]
     u_samples = control.sample(grid)
 
-    costate_flow = ExpKernel(prob.F.T)
-    w_maps = np.matmul(prob.G.T[None, :, :], costate_flow(prob.b - grid))  # (n, m, d)
+    w_maps = np.matmul(prob.G.T[None, :, :], prob.costate_flow(prob.b - grid))  # (n, m, d)
 
     def loss_batch(p_batch: np.ndarray, eta: int, normalize: bool) -> np.ndarray:
         p = np.atleast_2d(p_batch)
@@ -642,7 +639,7 @@ def recover_adjoint(
     for eta in (1, 0):
         normalize = eta == 0
         if isinstance(prob.U, Box):
-            for p in _crossing_least_squares(prob, control, eta, costate_flow):
+            for p in _crossing_least_squares(prob, control, eta):
                 if np.linalg.norm(p) >= 1e-9 and loss_batch(p, eta, normalize)[0] <= _RECOVER_LOSS:
                     return AdjointParams(eta, p)
 
@@ -657,7 +654,7 @@ def recover_adjoint(
 
 
 def _crossing_least_squares(
-    prob: Problem, control: PiecewiseConstantControl, eta: int, costate_flow: ExpKernel
+    prob: Problem, control: PiecewiseConstantControl, eta: int
 ) -> np.ndarray:
     """Terminal costates from the switching-threshold crossings of a control.
 
@@ -676,7 +673,7 @@ def _crossing_least_squares(
     targets = []
     values = control.values
     # s(theta_k) = w_maps[k - 1] @ p_hat at each interior breakpoint theta_k
-    w_maps = np.matmul(prob.G.T, costate_flow(prob.b - control.breakpoints[1:-1]))
+    w_maps = np.matmul(prob.G.T, prob.costate_flow(prob.b - control.breakpoints[1:-1]))
     for k in range(1, values.shape[0]):
         w_t = w_maps[k - 1]
         before, after = values[k - 1], values[k]

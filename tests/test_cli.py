@@ -268,6 +268,76 @@ def test_synthesis_commands_share_options():
         assert {k: l0[k] for k in names} == {k: example[k] for k in names}
 
 
+class TestParserReuse:
+    # main() builds its parser once per process; sequential calls must not
+    # see each other's options.
+    def test_certify_tol_resets_to_default(self, capsys, monkeypatch, ex2_file, ex2_run):
+        from handsoff import cli
+
+        tols = []
+        certify = cli.certify
+        monkeypatch.setattr(cli, "certify", lambda *a, tol: tols.append(tol) or certify(*a, tol=tol))
+        argv = ["certify", str(ex2_file), str(ex2_run[2] / "ex2_l0_control.csv"), "--eta", "1", "--phat", "0,1"]
+        assert main([*argv, "--tol", "1e-3"]) == 0
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert tols == [1e-3, 1e-6]
+
+    def test_usage_error_then_valid_call(self, capsys, ex1_file):
+        assert main(["certify"]) == 1
+        assert main(["solve-l1", str(ex1_file), "--intervals", "1"]) == 1
+        capsys.readouterr()
+        code, kv = _run(capsys, ["min-time", str(ex1_file)])
+        assert code == 0
+        assert float(kv["min_time"]) == pytest.approx(3.0, abs=1e-2)
+
+    def test_kmax_resets_to_default(self, capsys, monkeypatch, tmp_path, ex1_file):
+        from handsoff import cli
+
+        kmaxes = []
+        synth_l0 = cli.synth_l0
+        monkeypatch.setattr(cli, "synth_l0", lambda prob, k_max, **kw: kmaxes.append(k_max) or synth_l0(prob, k_max, **kw))
+        assert main(["solve-l0", str(ex1_file), "--kmax", "3", "--out", str(tmp_path)]) == 0
+        assert main(["example", "ex1", "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        assert kmaxes == [3, None]
+
+
+def test_commands_never_import_numpy_ma(tmp_path, ex1_file):
+    # np.unique and np.union1d import numpy.ma on first use (~20 ms per
+    # process); no command needs them. The parser is built on the first
+    # main() call, not at import.
+    root = Path(__file__).resolve().parent.parent
+    out = str(tmp_path)
+    commands = [
+        ["example", "ex1", "--out", out],
+        ["solve-l0", str(ex1_file), "--out", out],
+        ["solve-l1", str(ex1_file), "--intervals", "200", "--out", out],
+        ["certify", str(ex1_file), str(tmp_path / "ex1_l0_control.csv"), "--eta", "1", "--phat=-1"],
+        ["min-time", str(ex1_file)],
+        ["singularity", "--xi1", "1", "--xi2", "-1", "--horizon", "1"],
+    ]
+    script = (
+        "import sys\n"
+        "from handsoff import cli\n"
+        "assert cli._parser.cache_info().currsize == 0\n"
+        f"for argv in {commands!r}:\n"
+        "    code = cli.main(argv)\n"
+        "    print('after', argv[0], code, 'numpy.ma' in sys.modules)\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = [line.split()[1:] for line in proc.stdout.splitlines() if line.startswith("after ")]
+    assert [line[0] for line in lines] == [argv[0] for argv in commands]
+    assert [line[2] for line in lines] == ["False"] * len(commands), proc.stdout
+
+
 class TestMinTimeCommand:
     def test_scalar_benchmark(self, capsys, ex1_file):
         code, kv = _run(capsys, ["min-time", str(ex1_file)])

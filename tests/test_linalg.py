@@ -11,13 +11,17 @@ import pytest
 import scipy.integrate
 import scipy.linalg
 
+from handsoff import linalg
 from handsoff.linalg import (
     PIVOT_TOL,
+    ExpKernel,
     SingularMatrixError,
+    _square_up,
     discretize_zoh,
     mat_exp,
     mat_exp_stack,
     solve_linear,
+    sorted_unique,
 )
 
 
@@ -309,3 +313,63 @@ class TestSolveLinearReference:
 
     def test_empty_system(self):
         assert solve_linear(np.zeros((0, 0)), np.zeros(0)).shape == (0,)
+
+
+# The masked squaring loop that _square_up replaced, kept verbatim as the
+# reference its suffix squaring must match bit for bit.
+def _masked_square_up(e: np.ndarray, squarings: np.ndarray) -> np.ndarray:
+    """Square each stacked exponential of the scaled argument back up."""
+    for j in range(int(squarings.max()) if squarings.size else 0):
+        moving = squarings > j
+        part = e[moving]
+        e[moving] = part @ part
+    return e
+
+
+class TestSquareUpReference:
+    def test_bitwise_equal_on_random_stacks(self):
+        rng = np.random.default_rng(2003)
+        for n in range(1, 7):
+            for size in (0, 1, 2, 7, 40):
+                e = rng.normal(size=(size, n, n)) * 0.4
+                for squarings in (
+                    rng.integers(0, 9, size),  # unsorted
+                    np.sort(rng.integers(0, 9, size)),
+                    np.zeros(size, dtype=int),
+                    np.full(size, 5),
+                ):
+                    want = _masked_square_up(e.copy(), squarings.copy())
+                    got = _square_up(e.copy(), squarings.copy())
+                    assert got.shape == want.shape
+                    assert np.array_equal(got, want)
+
+    def test_kernels_bitwise_equal(self, monkeypatch):
+        rng = np.random.default_rng(2004)
+        cases = []
+        for n in range(1, 7):
+            m = rng.normal(size=(n, n)) * rng.uniform(0.1, 3.0)
+            ts = rng.uniform(-20.0, 20.0, 30)
+            cases += [(m, ts), (m, np.sort(ts)), (m, np.zeros(5)), (m, ts[:0]), (m, float(ts[0])), (m, 0.0)]
+        stacks = [rng.normal(size=(k, n, n)) * rng.uniform(0.01, 30.0) for n in range(1, 7) for k in (1, 9)]
+
+        def evaluate():
+            return [ExpKernel(m)(t) for m, t in cases] + [mat_exp_stack(ms) for ms in stacks]
+
+        got = evaluate()
+        monkeypatch.setattr(linalg, "_square_up", _masked_square_up)
+        want = evaluate()
+        for g, w in zip(got, want):
+            assert g.shape == w.shape
+            assert np.array_equal(g, w)
+
+
+class TestSortedUnique:
+    def test_equals_numpy_unique(self):
+        rng = np.random.default_rng(2005)
+        for size in (0, 1, 5, 60):
+            x = rng.integers(-4, 5, size).astype(float)
+            for values in (x, np.concatenate([x, [0.0, -0.0, 0.0]]), x.astype(int), rng.normal(size=size)):
+                got, want = sorted_unique(values), np.unique(values)
+                assert got.dtype == want.dtype
+                assert np.array_equal(got, want)
+                assert np.array_equal(np.signbit(got), np.signbit(want))

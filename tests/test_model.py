@@ -280,3 +280,46 @@ def test_problem_immutable(ex2):
 def test_l1_cost_two_channels():
     u = PiecewiseConstantControl([0.0, 1.0, 3.0], [[1.0, -0.5], [0.0, 0.25]])
     assert l1_cost(u) == pytest.approx(1.0 * 1.5 + 2.0 * 0.25, abs=1e-14)
+
+
+class TestProblemKernels:
+    def test_built_once_and_equal_to_fresh_kernels(self, ex2):
+        from handsoff.linalg import ExpKernel, mat_exp, zoh_block
+
+        assert ex2.costate_flow is ex2.costate_flow
+        assert ex2.zoh_flow is ex2.zoh_flow
+        ts = np.array([0.0, 0.3, 5.0, 40.0])
+        assert np.array_equal(ex2.costate_flow(ts), ExpKernel(ex2.F.T)(ts))
+        assert np.array_equal(ex2.costate_flow(0.3), mat_exp(ex2.F.T, 0.3))
+        assert np.array_equal(ex2.zoh_flow(ts), ExpKernel(zoh_block(ex2.F, ex2.G))(ts))
+        # A cache lives on its problem only: a problem with another plant
+        # gets its own kernels.
+        other = Problem(F=2.0 * ex2.F, G=ex2.G, a=ex2.a, b=ex2.b, A=ex2.A, B=ex2.B, U=ex2.U)
+        assert other.costate_flow is not ex2.costate_flow
+        assert np.array_equal(other.costate_flow(1.0), mat_exp(other.F.T, 1.0))
+
+    def test_kernel_builds_per_call(self, monkeypatch):
+        # Noise-free counters: each call below builds at most the fresh
+        # problem's two kernels (the LP needs only the ZOH one).
+        from handsoff import linalg
+        from handsoff.certificate import certify
+        from handsoff.lp import l1_solve
+        from handsoff.problems import example_2
+        from handsoff.synth import synth_l0
+
+        builds = []
+        init = linalg.ExpKernel.__init__
+
+        def counted(kernel, m):
+            builds.append(m.shape)
+            init(kernel, m)
+
+        monkeypatch.setattr(linalg.ExpKernel, "__init__", counted)
+        result = synth_l0(example_2())
+        assert result.certified and len(builds) <= 2
+        builds.clear()
+        l1_solve(example_2(), 1000)
+        assert len(builds) <= 1
+        builds.clear()
+        report = certify(example_2(), 1, result.certificate.p_hat, result.control)
+        assert report.passed and len(builds) <= 2
