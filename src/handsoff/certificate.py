@@ -52,7 +52,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .control_law import TIE_TOL, AdjointParams, _input_grid, adjoint_on_grid, bang_off_bang
+from .control_law import (
+    TIE_TOL, AdjointParams, _input_grid, adjoint_on_grid, bang_off_bang, hamiltonian_gap, hamiltonian_values
+)
 from .linalg import sorted_unique
 from .model import Box, PiecewiseConstantControl, Problem, Trajectory
 from .sim import (
@@ -154,10 +156,10 @@ def check_hamiltonian_max(
     """Largest shortfall of the achieved Hamiltonian below its supremum.
 
     Samples every trajectory grid point away from switching instants. For
-    LTI plants the supremum over the input set is exact (linear part at a
-    vertex or along the switching direction, versus the zero input with
-    its eta bonus); for general dynamics it is taken over an input grid of
-    _HMAX_INPUTS points.
+    LTI plants the shortfall is exact: the largest
+    :func:`handsoff.control_law.hamiltonian_gap` of the switching values
+    and inputs. For general dynamics the supremum is taken over an input
+    grid of _HMAX_INPUTS points.
     """
     return _hmax_shortfall(prob, ap, traj, _sample_extremal(prob, ap, traj, u, dynamics), dynamics)
 
@@ -172,20 +174,18 @@ def _hmax_shortfall(
     """:func:`check_hamiltonian_max` on an evaluated extremal."""
     keep = np.flatnonzero(ex.keep)
     if dynamics is None:
-        costates = ex.costates[keep]
-        drift = np.einsum("ij,ij->i", costates, traj.states[keep] @ prob.F.T)
-        gain = bang_off_bang(prob.U, costates @ prob.G, ap.eta).gain
-        return float(np.max(drift + np.maximum(gain, float(ap.eta)) - ex.values[keep]))
+        gaps = hamiltonian_gap(prob.U, ex.costates[keep] @ prob.G, ap.eta, traj.controls[keep])
+        return float(np.max(gaps))
 
     if keep.size > 301:  # callback dynamics: thin the sample set
         keep = keep[sorted_unique(np.linspace(0, keep.size - 1, 301).astype(int))]
     inputs = _input_grid(prob.U, prob.m, _HMAX_INPUTS)
-    bonus = ap.eta * np.all(inputs == 0.0, axis=1)
     shortfall = 0.0
     for i in keep:
         p, z = ex.costates[i], traj.states[i]
-        values = np.array([p @ np.asarray(dynamics.phi(z, v), dtype=float) for v in inputs])
-        shortfall = max(shortfall, float((values + bonus).max() - ex.values[i]))
+        velocities = np.array([np.asarray(dynamics.phi(z, v), dtype=float) for v in inputs])
+        values = hamiltonian_values(prob, ap.eta, np.broadcast_to(p, velocities.shape), None, inputs, velocities)
+        shortfall = max(shortfall, float(values.max() - ex.values[i]))
     return shortfall
 
 
@@ -288,8 +288,10 @@ def dual_bound(prob: Problem, p_hat: np.ndarray) -> float:
 
     Pointwise inf over v in U of 1[v != 0] - <s, v> is min(0, 1 - sigma_U(s)),
     so a control u that misses B by r has support >= g(p) - <p, r>; one
-    that meets B has support >= g(p). At the multiplier of a normal
-    extremal whose Hamiltonian maximum holds, g equals its support.
+    that meets B has support - g(p) = int_a^b gamma(s(t), u(t)) dt, the
+    integrated :func:`handsoff.control_law.hamiltonian_gap`. So at the
+    multiplier of a normal extremal whose Hamiltonian maximum holds, g
+    equals its support.
 
     The integrand is smooth between the crossings sigma_U(s) = 1 and, for
     a box, the sign changes of each s_i (kinks of sigma_U). Both are

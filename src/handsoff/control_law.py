@@ -15,7 +15,8 @@ to plain sign-based saturation.
 Threshold equalities produce tie sets containing both the zero input and
 the saturated one, and a channel with zero switching value is free over its
 whole interval; singular instances live entirely inside these ties, so the
-rule keeps the full set instead of picking a representative.
+rule keeps the full set instead of picking a representative. Recovery and
+certification measure maximization by one shortfall, :func:`hamiltonian_gap`.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .linalg import sorted_unique
-from .model import ZERO_TOL, Ball, Box, Problem
+from .model import ZERO_TOL, Ball, Box, Problem, _off_mask
 
 #: Width of the band around a threshold inside which a switching value is
 #: classified as a tie. Exact floating-point equality would be meaningless.
@@ -89,18 +90,18 @@ def hamiltonian_values(
     prob: Problem,
     eta: int,
     costates: np.ndarray,
-    states: np.ndarray,
+    states: np.ndarray | None,
     controls: np.ndarray,
     velocities: np.ndarray | None = None,
 ) -> np.ndarray:
-    """<p_i, phi(z_i, u_i)> + eta * [u_i == 0] per sample; phi defaults to F z + G u.
+    """<p_i, phi(z_i, u_i)> + eta * [u_i == 0] per sample; phi defaults to
+    F z + G u, and the states are read only then.
 
     An input counts as zero when every component is within ZERO_TOL of 0.
     """
     if velocities is None:
         velocities = states @ prob.F.T + controls @ prob.G.T
-    bonus = eta * np.all(np.abs(controls) <= ZERO_TOL, axis=1)
-    return np.einsum("ij,ij->i", costates, velocities) + bonus
+    return np.einsum("ij,ij->i", costates, velocities) + eta * _off_mask(controls, ZERO_TOL)
 
 
 def switching_function(prob: Problem, ap: AdjointParams, t: float) -> np.ndarray:
@@ -183,21 +184,17 @@ def bang_off_bang(u_set: Box | Ball, s: np.ndarray, eta: int, tie_tol: float = T
     return Maximizer(bang, free, gain, ~(gain > 1.0 + tie_tol), ~(gain < 1.0 - tie_tol))
 
 
-def candidate_distance(u_set: Box | Ball, rule, u: np.ndarray) -> np.ndarray:
-    """Euclidean distance from inputs u (..., m) to the maximizer set.
+def hamiltonian_gap(u_set: Box | Ball, s: np.ndarray, eta: int, u: np.ndarray) -> np.ndarray:
+    """Shortfall gamma(s, u) = max(sigma_U(s), eta) - <s, u> - eta [u == 0] of
+    the Hamiltonian at inputs u below its maximum over U, shapes (..., m).
 
-    ``rule`` is a :class:`Maximizer`; leading axes broadcast.
+    sigma_U is the gain of :func:`bang_off_bang`; the state term <p, F z>
+    is the same for every input, so it cancels. For a control u meeting
+    the endpoint, support(u) - dual_bound(p) = int gamma(s_p(t), u(t)) dt.
     """
-    u = np.asarray(u, dtype=float)
-    bang, free = np.asarray(rule.bang), np.asarray(rule.free)
-    d_zero = np.linalg.norm(u, axis=-1)
-    if isinstance(u_set, Box):
-        outside = np.maximum(u_set.lower - u, 0.0) + np.maximum(u - u_set.upper, 0.0)
-        d_bang = np.sqrt((np.where(free, outside, np.abs(u - bang)) ** 2).sum(axis=-1))
-    else:
-        outside = np.maximum(d_zero - u_set.radius, 0.0)
-        d_bang = np.where(free[..., 0], outside, np.linalg.norm(u - bang, axis=-1))
-    return np.where(rule.on, np.where(rule.zero, np.minimum(d_bang, d_zero), d_bang), d_zero)
+    s, u = np.asarray(s, dtype=float), np.asarray(u, dtype=float)
+    peak = np.maximum(bang_off_bang(u_set, s, eta).gain, float(eta))
+    return peak - (s * u).sum(axis=-1) - eta * _off_mask(u, ZERO_TOL)
 
 
 @dataclass(frozen=True)

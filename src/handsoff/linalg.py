@@ -110,7 +110,7 @@ def mat_exp_stack(ms: np.ndarray) -> np.ndarray:
     for k in range(1, _TAYLOR_CAP):
         term = term @ a / k
         result = result + term
-        if np.abs(term).max() <= 1e-18:
+        if np.abs(term).max(initial=0.0) <= 1e-18:
             break
     return _square_up(result, squarings)
 

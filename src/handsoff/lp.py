@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import solve_linear
-from .model import Box, PiecewiseConstantControl, Problem
+from .model import Box, PiecewiseConstantControl, Problem, ValidationError
 
 
 class LpStatus(enum.Enum):
@@ -313,7 +313,7 @@ def _transition_maps(prob: Problem, horizon: float, n_intervals: int):
 
 def _require_box(prob: Problem, what: str) -> Box:
     if not isinstance(prob.U, Box):
-        raise ValueError(f"{what} is defined for box input sets only")
+        raise ValidationError("U", f"{what} is defined for box input sets only")
     return prob.U
 
 

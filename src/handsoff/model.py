@@ -69,18 +69,19 @@ class Box:
         object.__setattr__(self, "upper", upper)
         if lower.shape != upper.shape or lower.ndim != 1:
             raise ValidationError("U", "box lower/upper must be equal-length vectors")
-        if not np.all(lower < 0):
-            raise ValidationError("U.lower", "0 must be strictly interior (lower_i < 0)")
-        if not np.all(upper > 0):
-            raise ValidationError("U.upper", "0 must be strictly interior (upper_i > 0)")
+        if not np.all((-np.inf < lower) & (lower < 0)):
+            raise ValidationError("U.lower", "must be finite, with 0 strictly interior (lower_i < 0)")
+        if not np.all((0 < upper) & (upper < np.inf)):
+            raise ValidationError("U.upper", "must be finite, with 0 strictly interior (upper_i > 0)")
 
     @property
     def dim(self) -> int:
         return self.lower.size
 
-    def contains(self, v: np.ndarray) -> bool:
+    def contains(self, v: np.ndarray) -> np.ndarray:
+        """Membership of inputs of shape (..., m), one verdict per input."""
         v = np.asarray(v, dtype=float)
-        return bool(np.all(v >= self.lower - _ADMIT_TOL) and np.all(v <= self.upper + _ADMIT_TOL))
+        return np.all((v >= self.lower - _ADMIT_TOL) & (v <= self.upper + _ADMIT_TOL), axis=-1)
 
 
 @dataclass(frozen=True)
@@ -90,11 +91,12 @@ class Ball:
     radius: float
 
     def __post_init__(self):
-        if not self.radius > 0:
-            raise ValidationError("U.radius", f"radius must be positive, got {self.radius}")
+        if not 0 < self.radius < np.inf:
+            raise ValidationError("U.radius", f"radius must be positive and finite, got {self.radius}")
 
-    def contains(self, v: np.ndarray) -> bool:
-        return bool(np.linalg.norm(np.asarray(v, dtype=float)) <= self.radius + _ADMIT_TOL)
+    def contains(self, v: np.ndarray) -> np.ndarray:
+        """Membership of inputs of shape (..., m), one verdict per input."""
+        return np.linalg.norm(np.asarray(v, dtype=float), axis=-1) <= self.radius + _ADMIT_TOL
 
 
 AdmissibleSet = Box | Ball
@@ -128,6 +130,9 @@ class Problem:
             raise ValidationError("A", f"must be a {d}-vector, got shape {va.shape}")
         if vb.shape != (d,):
             raise ValidationError("B", f"must be a {d}-vector, got shape {vb.shape}")
+        for name, value in (("F", f), ("G", g), ("a", self.a), ("b", self.b), ("A", va), ("B", vb)):
+            if not np.isfinite(value).all():
+                raise ValidationError(name, "entries must be finite")
         if not self.b > self.a:
             raise ValidationError("b", f"horizon must satisfy b > a, got a={self.a}, b={self.b}")
         if isinstance(self.U, Box) and self.U.dim != g.shape[1]:
@@ -173,15 +178,10 @@ class Problem:
             raise ValidationError(
                 "breakpoints", f"control spans [{u.a}, {u.b}], problem horizon is [{self.a}, {self.b}]"
             )
-        v = u.values
-        if isinstance(self.U, Box):
-            inside = np.all((v >= self.U.lower - _ADMIT_TOL) & (v <= self.U.upper + _ADMIT_TOL), axis=1)
-        else:
-            # Row-wise dot products: the same sums as Ball.contains' norm.
-            inside = np.sqrt((v[:, None, :] @ v[:, :, None]).ravel()) <= self.U.radius + _ADMIT_TOL
+        inside = self.U.contains(u.values)
         if not inside.all():
             k = int(np.argmin(inside))
-            raise ValidationError("values", f"segment {k} value {v[k]} outside the admissible set")
+            raise ValidationError("values", f"segment {k} value {u.values[k]} outside the admissible set")
 
 
 @dataclass(frozen=True)
@@ -260,8 +260,9 @@ class Trajectory:
 
 
 def _off_mask(values: np.ndarray, zero_tol: float) -> np.ndarray:
-    """True for segments whose value is (numerically) the zero vector."""
-    return np.all(np.abs(values) <= zero_tol, axis=1)
+    """True for inputs (..., m) that are (numerically) the zero vector: the
+    one zero-input rule of the support measure and the Hamiltonian."""
+    return np.all(np.abs(values) <= zero_tol, axis=-1)
 
 
 def l0_cost(u: PiecewiseConstantControl, zero_tol: float = ZERO_TOL) -> float:

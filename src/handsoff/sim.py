@@ -96,18 +96,22 @@ def linear_dynamics(prob: Problem) -> NonlinearDynamics:
     )
 
 
+def trajectory_grid(prob: Problem, u: PiecewiseConstantControl, samples: int = DEFAULT_GRID) -> np.ndarray:
+    """The horizon's ``samples`` uniform points with every breakpoint of u inserted."""
+    return sorted_unique(np.concatenate([np.linspace(prob.a, prob.b, samples), u.breakpoints]))
+
+
 def propagate_exact(
     prob: Problem, u: PiecewiseConstantControl, samples: int = DEFAULT_GRID
 ) -> Trajectory:
     """Exact piecewise propagation of the LTI plant under a PWC control.
 
-    The output grid is a uniform refinement of the horizon with every
-    control breakpoint inserted; states at grid points are exact up to
-    matrix-exponential accuracy. Grid controls use the right-limit value.
-    Each grid state is reached from the start of its control segment.
+    The output grid is :func:`trajectory_grid`; states at grid points are
+    exact up to matrix-exponential accuracy. Grid controls use the right-limit
+    value. Each grid state is reached from the start of its control segment.
     """
     prob.validate_control(u)
-    grid = sorted_unique(np.concatenate([np.linspace(prob.a, prob.b, samples), u.breakpoints]))
+    grid = trajectory_grid(prob, u, samples)
     d, n_seg = prob.d, u.values.shape[0]
     # Grid point i > 0 lies in the segment in effect at grid[i - 1]; segment
     # k owns steps starts[k]:ends[k] and starts from grid point starts[k].

@@ -41,10 +41,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lp
-from .certificate import CertificateReport, _certify_trajectory, dual_bound
-from .control_law import AdjointParams, bang_off_bang, candidate_distance
+from .certificate import DEFAULT_TOL, CertificateReport, _certify_trajectory, dual_bound
+from .control_law import AdjointParams, hamiltonian_gap
 from .model import Ball, Box, PiecewiseConstantControl, Problem, Trajectory, l0_cost
-from .sim import breakpoint_mask, endpoint_residual, propagate_exact
+from .sim import breakpoint_mask, endpoint_residual, propagate_exact, trajectory_grid
 
 #: Segment durations below this fraction of the horizon are dropped when a
 #: candidate is assembled into a control.
@@ -585,11 +585,8 @@ def synth_l0(
     )
 
 
-#: Multipliers :func:`recover_adjoint` scores when no crossing candidate
-#: passes; the samples of its consistency loss and the loss it accepts.
+#: Multipliers :func:`recover_adjoint` scores when no crossing candidate passes.
 _SCREEN_POINTS = 50
-_RECOVER_SAMPLES = 1001
-_RECOVER_LOSS = 1e-6
 
 
 def recover_adjoint(
@@ -597,39 +594,36 @@ def recover_adjoint(
 ) -> AdjointParams | None:
     """Find a multiplier (eta, p_hat) consistent with a control.
 
-    The verdict is the consistency loss: the summed distance between the
-    control samples and the bang-off-bang candidate set implied by the
-    switching function at _RECOVER_SAMPLES instants, at most
-    _RECOVER_LOSS. For box inputs the
+    The verdict is the certificate's own Hamiltonian test: the largest
+    :func:`handsoff.control_law.hamiltonian_gap` of the control on the
+    :func:`handsoff.sim.propagate_exact` grid, off its breakpoints, is at
+    most DEFAULT_TOL. For a control meeting the endpoint, support(u) -
+    dual_bound(p) is the integral of that gap. For box inputs the
     candidates come from the control's own transitions: each one pins the
     switching function to a threshold at that instant, an equation linear
     in p_hat (:func:`_crossing_least_squares`). Controls without such
-    equations, or whose solution fails the loss (constant bang controls,
+    equations, or whose solution fails the test (constant bang controls,
     ball inputs), are scored on a fixed screen instead: the signed unit
     vectors, the normalized ones vector and seeded normals.
 
     Tries the normal case first, then the abnormal one restricted to the
-    unit sphere. Returns None when no candidate reaches the loss
-    tolerance; that is a verdict (no multiplier was found that makes the
-    control an extremal), not an error.
+    unit sphere. Returns None when no candidate passes; that is a verdict
+    (no multiplier was found that makes the control an extremal), not an
+    error.
     """
-    grid = np.linspace(prob.a, prob.b, _RECOVER_SAMPLES)
-    keep = breakpoint_mask(grid, control)
-    grid = grid[keep]
+    grid = trajectory_grid(prob, control)
+    grid = grid[breakpoint_mask(grid, control)]
     u_samples = control.sample(grid)
 
     w_maps = np.matmul(prob.G.T[None, :, :], prob.costate_flow(prob.b - grid))  # (n, m, d)
 
-    def loss_batch(p_batch: np.ndarray, eta: int, normalize: bool) -> np.ndarray:
+    def gap_batch(p_batch: np.ndarray, eta: int) -> np.ndarray:
         p = np.atleast_2d(p_batch)
         norms = np.linalg.norm(p, axis=1, keepdims=True)
-        if normalize:
+        if eta == 0:
             p = p / np.maximum(norms, 1e-12)
-        s = np.einsum("nmd,pd->pnm", w_maps, p)
-        total = candidate_distance(prob.U, bang_off_bang(prob.U, s, eta), u_samples).sum(axis=1)
-        if normalize:
-            total = np.where(norms[:, 0] < 1e-9, np.inf, total)
-        return total
+        worst = hamiltonian_gap(prob.U, np.einsum("nmd,pd->pnm", w_maps, p), eta, u_samples).max(axis=1)
+        return np.where(norms[:, 0] < 1e-9, np.inf, worst) if eta == 0 else worst
 
     d = prob.d
     deterministic = [sign * np.eye(d)[i] for i in range(d) for sign in (1.0, -1.0)]
@@ -637,19 +631,18 @@ def recover_adjoint(
     rng = np.random.default_rng(seed)
 
     for eta in (1, 0):
-        normalize = eta == 0
         if isinstance(prob.U, Box):
             for p in _crossing_least_squares(prob, control, eta):
-                if np.linalg.norm(p) >= 1e-9 and loss_batch(p, eta, normalize)[0] <= _RECOVER_LOSS:
+                if np.linalg.norm(p) >= 1e-9 and gap_batch(p, eta)[0] <= DEFAULT_TOL:
                     return AdjointParams(eta, p)
 
         rows = [np.asarray(v, dtype=float) for v in deterministic]
         while len(rows) < _SCREEN_POINTS:
             rows.append(rng.normal(size=d) * rng.uniform(0.3, 5.0))
         screen = np.asarray(rows)
-        losses = loss_batch(screen, eta, normalize)
-        if float(losses.min()) <= _RECOVER_LOSS:
-            return AdjointParams(eta, screen[int(np.argmin(losses))])
+        gaps = gap_batch(screen, eta)
+        if float(gaps.min()) <= DEFAULT_TOL:
+            return AdjointParams(eta, screen[int(np.argmin(gaps))])
     return None
 
 

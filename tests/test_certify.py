@@ -19,8 +19,8 @@ from handsoff.certificate import (
     check_hamiltonian_max,
     dual_bound,
 )
-from handsoff.control_law import AdjointParams, adjoint_on_grid
-from handsoff.linalg import ExpKernel
+from handsoff.control_law import AdjointParams, adjoint_on_grid, hamiltonian_gap
+from handsoff.linalg import ExpKernel, sorted_unique
 from handsoff.lp import l1_solve
 from handsoff.model import Ball, Box, PiecewiseConstantControl, Problem, l0_cost
 from handsoff.sim import (
@@ -522,6 +522,26 @@ class TestDualBound:
     def test_rejects_wrong_dimension(self, ex2):
         with pytest.raises(ValueError):
             dual_bound(ex2, np.array([1.0]))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_duality_gap_is_integrated_hamiltonian_gap(seed):
+    # For a control u that meets B, support(u) - g(p) is the integral of
+    # gamma(s_p(t), u(t)): a cell-wise trapezoid on 20,001 points plus the
+    # breakpoints, each cell at the input in effect on it.
+    rng = np.random.default_rng(seed)
+    d, m = int(rng.integers(1, 4)), int(rng.integers(1, 3))
+    free = with_input_set(random_problem(rng, d=d, m=m), Box(-rng.uniform(1.0, 2.0, m), rng.uniform(1.0, 2.0, m)))
+    u = random_control(rng, free.a, free.b, m)
+    prob = Problem(F=free.F, G=free.G, a=free.a, b=free.b, A=free.A, B=propagate_exact(free, u).states[-1], U=free.U)
+    p = rng.normal(size=d) * 2.0
+    grid = sorted_unique(np.concatenate([np.linspace(prob.a, prob.b, 20001), u.breakpoints]))
+    s = adjoint_on_grid(prob, AdjointParams(1, p), grid) @ prob.G
+    held = u.sample(0.5 * (grid[:-1] + grid[1:]))
+    cells = hamiltonian_gap(prob.U, s[:-1], 1, held) + hamiltonian_gap(prob.U, s[1:], 1, held)
+    integral = float(0.5 * cells @ np.diff(grid))
+    assert l0_cost(u) - dual_bound(prob, p) == pytest.approx(integral, abs=1e-5)
 
 
 def _weak_duality_case(seed: int, d: int) -> tuple[Problem, float, float]:

@@ -394,24 +394,24 @@ class TestToleranceRanges:
 
 
 class TestBallProblem:
-    def test_solve_l0_ball_input(self, capsys, tmp_path):
-        import json as json_mod
+    SPEC = {"F": [[0.0]], "G": [[1.0]], "a": 0.0, "b": 4.0, "A": [2.0], "B": [0.0], "U": {"kind": "ball", "radius": 1.0}}
 
-        spec = {
-            "F": [[0.0]],
-            "G": [[1.0]],
-            "a": 0.0,
-            "b": 4.0,
-            "A": [2.0],
-            "B": [0.0],
-            "U": {"kind": "ball", "radius": 1.0},
-        }
+    def test_solve_l0_ball_input(self, capsys, tmp_path):
         path = tmp_path / "ball.json"
-        path.write_text(json_mod.dumps(spec))
+        path.write_text(json.dumps(self.SPEC))
         code, kv = _run(capsys, ["solve-l0", str(path), "--out", str(tmp_path)])
         assert code == 0
         assert float(kv["support"]) == pytest.approx(2.0, abs=1e-4)
         assert kv["certified"] == "true"
+
+    @pytest.mark.parametrize("command", ["solve-l1", "min-time"])
+    def test_box_only_command_is_usage_error(self, capsys, tmp_path, command):
+        # The LP layer is box-only; both commands used to die with a traceback.
+        path = tmp_path / "ball.json"
+        path.write_text(json.dumps(self.SPEC))
+        argv = [command, str(path)] + (["--out", str(tmp_path)] if command == "solve-l1" else [])
+        assert main(argv) == 1
+        assert "U: " in capsys.readouterr().err and not list(tmp_path.glob("*.csv"))
 
     def test_negative_phat_component_parses(self, capsys, ex2_file, ex2_run):
         _, _, out = ex2_run
@@ -421,6 +421,30 @@ class TestBallProblem:
         )
         capsys.readouterr()
         assert code == 3  # parses fine; the multiplier is simply wrong
+
+
+class TestNonFiniteProblem:
+    # Non-finite entries used to pass validation: solve-l1 printed a zero
+    # cost and min-time min_time=inf, and solve-l0 warned its way to
+    # "infeasible".
+    @pytest.mark.parametrize(
+        "command, field, value",
+        [("solve-l0", "F", np.nan), ("solve-l1", "G", np.nan), ("min-time", "B", np.inf), ("certify", "A", np.nan)],
+    )
+    def test_rejected_naming_the_field(self, capsys, tmp_path, ex2_file, ex2_run, command, field, value):
+        data = json.loads(ex2_file.read_text())
+        data[field] = np.full(np.shape(data[field]), value).tolist()
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        argv = {
+            "solve-l0": ["solve-l0", str(path), "--out", str(tmp_path)],
+            "solve-l1": ["solve-l1", str(path), "--out", str(tmp_path)],
+            "min-time": ["min-time", str(path)],
+            "certify": ["certify", str(path), str(ex2_run[2] / "ex2_l0_control.csv"), "--eta", "1", "--phat", "0,1"],
+        }[command]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert f"{field}: entries must be finite" in captured.err and captured.out == ""
 
 
 def test_runtime_needs_only_numpy(tmp_path):

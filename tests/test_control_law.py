@@ -9,9 +9,10 @@ from handsoff.control_law import (
     AdjointParams,
     adjoint_at,
     argmax_hamiltonian_bruteforce,
+    _input_grid,
     bang_off_bang,
-    candidate_distance,
     candidates_at,
+    hamiltonian_gap,
     pointwise_hamiltonian,
     switching_function,
 )
@@ -167,8 +168,21 @@ class TestBoxLaw:
         # At s = 0 the abnormal maximizer is the whole interval.
         r = rule(self.BOX, 0.0, 0)
         assert r.on and r.free.all()
-        assert candidate_distance(self.BOX, r, np.array([0.37])) == 0.0
-        assert candidate_distance(self.BOX, r, np.array([1.5])) == pytest.approx(0.5)
+        assert hamiltonian_gap(self.BOX, [0.0], 0, [[0.37], [-1.0], [1.0]]).tolist() == [0.0] * 3
+        # A free channel beside a saturated one: any value of the free one
+        # maximizes, a value short of the bang on the other does not.
+        box = Box(np.array([-1.0, -2.0]), np.array([1.5, 1.0]))
+        gaps = hamiltonian_gap(box, [0.0, 2.0], 1, [[0.37, 1.0], [-1.0, 1.0], [1.5, 1.0], [0.37, 0.5]])
+        assert gaps.tolist() == [0.0, 0.0, 0.0, 1.0]
+
+    def test_gap_in_tie_band(self):
+        # Around the threshold s = 1 the zero input and the bang both fall
+        # short by at most |s - 1|; the opposite bound by s + max(s, 1).
+        for s in (1.0 - 5e-10, 1.0, 1.0 + 5e-10):
+            gaps = hamiltonian_gap(self.BOX, [s], 1, [[0.0], [1.0], [-1.0]])
+            assert gaps[0] == pytest.approx(max(s - 1.0, 0.0), abs=1e-15)
+            assert gaps[1] == pytest.approx(max(1.0 - s, 0.0), abs=1e-15)
+            assert gaps[2] == pytest.approx(2.0, abs=2e-9)
 
     def test_general_box_threshold_scaling(self):
         box = Box(np.array([-0.5]), np.array([2.0]))
@@ -196,12 +210,12 @@ class TestBoxLaw:
         u = rng.uniform(-1.0, 1.0, (5, 2))
         for eta in (0, 1):
             stacked = bang_off_bang(box, s, eta)
-            dist = candidate_distance(box, stacked, u)
-            assert dist.shape == (7, 5)
+            gap = hamiltonian_gap(box, s, eta, u)
+            assert gap.shape == (7, 5)
             for i, j in np.ndindex(7, 5):
                 single = bang_off_bang(box, s[i, j], eta)
                 assert single.gain == stacked.gain[i, j]
-                assert candidate_distance(box, single, u[j]) == dist[i, j]
+                assert hamiltonian_gap(box, s[i, j], eta, u[j]) == gap[i, j]
 
 
 class TestBallLaw:
@@ -220,7 +234,8 @@ class TestBallLaw:
         assert r.zero and not r.on
         r0 = rule(self.BALL, [0.0, 0.0], 0)
         assert r0.on and r0.free.all()
-        assert candidate_distance(self.BALL, r0, np.array([0.3, -0.5])) == 0.0
+        assert hamiltonian_gap(self.BALL, [0.0, 0.0], 0, [0.3, -0.5]) == 0.0
+        assert hamiltonian_gap(self.BALL, [0.0, 0.0], 1, [[0.0, 0.0], [0.3, -0.5]]).tolist() == [0.0, 1.0]
 
     def test_tie_keeps_both(self):
         r = rule(self.BALL, [1.0, 0.0], 1)
@@ -301,3 +316,14 @@ class TestBruteForceOracle:
             brute = argmax_hamiltonian_bruteforce(prob, ap, np.zeros(2), 0.5, 201)
             for vec in candidates_at(prob, ap, 0.5).vectors():
                 assert min(np.abs(vec - b).max() for b in brute) <= 1e-12, (s, eta, box, vec)
+
+    def test_gap_is_shortfall_below_grid_maximum(self):
+        # A box's input grid holds every vertex, so its best Hamiltonian
+        # value is the supremum, and gamma is each input's shortfall below it.
+        rng = np.random.default_rng(409)
+        for _ in range(40):
+            box = Box(-rng.uniform(0.3, 2.0, 2), rng.uniform(0.3, 2.0, 2))
+            s, eta = rng.uniform(-2.0, 2.0, 2), int(rng.integers(0, 2))
+            grid = _input_grid(box, 2, 41)
+            values = grid @ s + eta * np.all(grid == 0.0, axis=1)
+            assert np.abs(hamiltonian_gap(box, s, eta, grid) - (values.max() - values)).max() <= 1e-12

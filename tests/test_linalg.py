@@ -350,7 +350,7 @@ class TestSquareUpReference:
             m = rng.normal(size=(n, n)) * rng.uniform(0.1, 3.0)
             ts = rng.uniform(-20.0, 20.0, 30)
             cases += [(m, ts), (m, np.sort(ts)), (m, np.zeros(5)), (m, ts[:0]), (m, float(ts[0])), (m, 0.0)]
-        stacks = [rng.normal(size=(k, n, n)) * rng.uniform(0.01, 30.0) for n in range(1, 7) for k in (1, 9)]
+        stacks = [rng.normal(size=(k, n, n)) * rng.uniform(0.01, 30.0) for n in range(1, 7) for k in (0, 1, 9)]
 
         def evaluate():
             return [ExpKernel(m)(t) for m, t in cases] + [mat_exp_stack(ms) for ms in stacks]

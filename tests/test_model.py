@@ -86,6 +86,23 @@ class TestLoadProblem:
         with pytest.raises(ValidationError):
             load_problem(path)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("field", ["F", "G", "a", "b", "A", "B", "U.lower", "U.upper", "U.radius"])
+    def test_non_finite_entry_names_field(self, tmp_path, field, value):
+        data = json.loads(json.dumps(EX2_JSON))
+        key, _, bound = field.partition(".")
+        if bound == "radius":
+            data["U"] = {"kind": "ball", "radius": value}
+        elif bound:
+            data["U"][bound] = [value]
+        else:
+            data[key] = np.full(np.shape(data[key]), value).tolist()
+        path = tmp_path / "prob.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValidationError) as err:
+            load_problem(path)
+        assert err.value.field == field
+
     def test_ball_set(self, tmp_path):
         data = dict(EX2_JSON, U={"kind": "ball", "radius": 2.0})
         path = tmp_path / "prob.json"

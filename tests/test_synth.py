@@ -492,10 +492,10 @@ class TestRecoverAdjoint:
 
     def test_brute_force_confirms_absence(self, ex1):
         # Independent scan over the scalar costate: no admissible value
-        # yields a candidate set containing all three control levels used
-        # above. Abnormal multipliers live on the unit sphere, so for
+        # puts all three control levels used above at the Hamiltonian
+        # maximum. Abnormal multipliers live on the unit sphere, so for
         # eta = 0 only the two signs need scanning.
-        from handsoff.control_law import bang_off_bang, candidate_distance
+        from handsoff.control_law import hamiltonian_gap
 
         u = PiecewiseConstantControl([0.0, 0.5, 4.0, 5.0], [[1.0], [-1.0], [0.0]])
         grid = np.linspace(0.05, 4.95, 197)
@@ -504,8 +504,8 @@ class TestRecoverAdjoint:
             s = np.broadcast_to(
                 p_values[:, None, None], (p_values.size, grid.size, 1)
             )
-            losses = candidate_distance(ex1.U, bang_off_bang(ex1.U, s, eta), samples).sum(axis=1)
-            assert losses.min() > 1e-3
+            worst = hamiltonian_gap(ex1.U, s, eta, samples).max(axis=1)
+            assert worst.min() > 1e-3
 
     def test_two_channel_extremal(self):
         # Double integrator with both channels actuated: (1, 1) until the
