@@ -26,6 +26,7 @@ from . import __version__
 from .certificate import certify
 from .lp import LpError, LpStatus, l1_solve
 from .model import (
+    Box,
     ValidationError,
     l0_cost,
     l1_cost,
@@ -221,8 +222,16 @@ def cmd_solve_l0(args) -> int:
     return EXIT_OK
 
 
-def cmd_solve_l1(args) -> int:
+def _load_box_problem(args):
+    """The problem file of a command whose LPs need a box input set."""
     prob = load_problem(args.problem)
+    if not isinstance(prob.U, Box):
+        raise _UsageError(f"{args.command} needs a box input set (U kind \"box\"); this problem's U is a ball")
+    return prob
+
+
+def cmd_solve_l1(args) -> int:
+    prob = _load_box_problem(args)
     control, cost = l1_solve(prob, args.intervals)
     out = _out_dir(args)
     stem = Path(args.problem).stem
@@ -312,7 +321,7 @@ def cmd_example(args) -> int:
 
 
 def cmd_min_time(args) -> int:
-    prob = load_problem(args.problem)
+    prob = _load_box_problem(args)
     value = min_time(prob, tol=args.tol, n_intervals=args.intervals)
     print(f"min_time={value:.6f}")
     return EXIT_OK if np.isfinite(value) else EXIT_INFEASIBLE

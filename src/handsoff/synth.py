@@ -19,10 +19,14 @@ derivative ``dz(b)/dtheta_k = exp(F (b - theta_k)) G (v_{k-1} - v_k)`` in
 each switch time, so one exponential per segment gives the endpoint and
 its Jacobian. Projected Levenberg-Marquardt (Gauss-Newton with damping)
 solves for the head durations from Dirichlet draws of the duration
-simplex, all starts advanced in lockstep and evaluated in one vectorized
-computation; ball "on" directions join the same solve through the chain
-rule. A fit stops at the first start that meets the endpoint or once
-every start has stalled, which ends infeasible structures early.
+simplex; ball "on" directions join the same solve through the chain rule.
+Consecutive structures with the same on-segment and segment counts share
+their free variables, so the starts of a whole run of them are stacked,
+advanced in lockstep and evaluated in one vectorized computation per
+iteration. Each structure's fit stops at the first of its starts that
+meets the endpoint or once all of its starts have stalled, which ends
+infeasible structures early, and the sweep takes the fits in enumeration
+order as they stop.
 
 The sweep stops as soon as the incumbent is certified globally optimal.
 Every terminal costate p gives a Lagrange dual lower bound g(p) on the
@@ -36,6 +40,7 @@ remaining structures are recorded as pruned instead of fitted.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -279,126 +284,158 @@ _STALL_GAIN = 1e-9
 #: Dirichlet starts per structure fit in :func:`synth_l0`.
 _FIT_STARTS = 20
 
+#: Start rows one :func:`_fit_run` batch holds at most; a longer run is
+#: fitted in consecutive chunks of whole structures.
+_RUN_ROWS = 4096
 
-def _structure_map(prob: Problem, st: Structure):
-    """The endpoint map of one structure in its free variables.
 
-    The free variables x are the head durations (the last segment takes
-    the rest of the horizon), then one angle block per ball "on" segment.
-    Returns (heads, n_free, evaluate); ``evaluate`` maps feasible points x
-    (batch, n_free) to durations, segment values, endpoint residual
-    vectors and their Jacobian in x (batch, d, n_free): duration columns
-    from :func:`_endpoint_jacobian`, angle columns by the chain rule
-    through the ZOH input block B_d r d(direction)/d(angle).
+def _structure_map(prob: Problem, run: list[Structure]):
+    """The endpoint map of a run of structures in their free variables.
+
+    Every structure of the run has the same segment count and "on" count,
+    so the same free variables x: the head durations (the last segment
+    takes the rest of the horizon), then one angle block per ball "on"
+    segment. Returns (heads, n_free, evaluate); ``evaluate(x, owner)``
+    maps feasible points x (batch, n_free) of the structures
+    ``run[owner]`` to durations, segment values, endpoint residual vectors
+    and their Jacobian in x (batch, d, n_free): duration columns from
+    :func:`_endpoint_jacobian`, angle columns by the chain rule through the
+    ZOH input block B_d r d(direction)/d(angle).
     """
     horizon = prob.horizon
-    segs = st.segments
+    segs = run[0].segments
     heads = segs - 1
-    if any(lab in ("off", "on") for lab in st.labels):
+    if any(lab in ("off", "on") for st in run for lab in st.labels):
         if not isinstance(prob.U, Ball) or prob.m not in (2, 3):
             raise ValueError("off/on labels require a ball input set with m in {2, 3}")
-        on_positions = [k for k, lab in enumerate(st.labels) if lab == "on"]
-        base_values = np.zeros((segs, prob.m))
+        on_positions = np.array([[k for k, lab in enumerate(st.labels) if lab == "on"] for st in run])
+        base_values = np.zeros((len(run), segs, prob.m))
     else:
-        on_positions = []
-        base_values = np.array([list(lab) for lab in st.labels], dtype=float)
+        on_positions = np.empty((len(run), 0), dtype=int)
+        base_values = np.array([[list(lab) for lab in st.labels] for st in run], dtype=float)
     block = prob.m - 1
-    angles = [slice(heads + block * j, heads + block * (j + 1)) for j in range(len(on_positions))]
-    n_free = heads + block * len(on_positions)
+    angles = [slice(heads + block * j, heads + block * (j + 1)) for j in range(on_positions.shape[1])]
+    n_free = heads + block * len(angles)
 
-    def evaluate(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    def evaluate(x: np.ndarray, owner: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         batch = x.shape[0]
+        rows = np.arange(batch)
         head = x[:, :heads]
         durations = np.concatenate([head, np.maximum(horizon - head.sum(axis=1), 0.0)[:, None]], axis=1)
-        values = np.broadcast_to(base_values, (batch, segs, prob.m)).copy()
+        values = base_values[owner]
         turns = []
-        for k, cols in zip(on_positions, angles):
+        for j, cols in enumerate(angles):
             dirs, d_dirs = _ball_directions(x[:, cols], prob.m)
-            values[:, k, :] = prob.U.radius * dirs
+            values[rows, on_positions[owner, j]] = prob.U.radius * dirs
             turns.append(prob.U.radius * d_dirs)
         z_end, d_tau, d_val = _endpoint_jacobian(prob, values, durations)
         jac = np.empty((batch, prob.d, n_free))
         jac[:, :, :heads] = d_tau[:, :, :-1] - d_tau[:, :, -1:]
-        for k, cols, turn in zip(on_positions, angles, turns):
-            jac[:, :, cols] = d_val[:, k] @ turn
+        for j, (cols, turn) in enumerate(zip(angles, turns)):
+            jac[:, :, cols] = d_val[rows, on_positions[owner, j]] @ turn
         return durations, values, z_end - prob.B, jac
 
     return heads, n_free, evaluate
 
 
-def _fit_structure(
+def _fit_run(
     prob: Problem,
-    st: Structure,
+    run: list[Structure],
+    seeds: Sequence[int],
     starts: int,
-    seed: int,
     stop_residual: float,
     maxiter: int,
-) -> tuple[np.ndarray, np.ndarray, float, int]:
-    """Fit the durations (and ball directions) of one structure to the endpoint.
+) -> Iterator[tuple[np.ndarray, np.ndarray, float, int]]:
+    """Fit the durations (and ball directions) of a run of structures to the endpoint.
 
-    Projected Levenberg-Marquardt on the free variables of
-    :func:`_structure_map`, from Dirichlet draws of the duration simplex
-    advanced in lockstep. Head durations stay in {x >= 0, sum(x) <= horizon}.
-    Stops when a start reaches ``stop_residual``, when every start has
-    stalled, or after ``maxiter`` iterations. Returns (durations,
-    segment_values, residual, iterations)."""
+    The structures of ``run`` share their free variables
+    (:func:`_structure_map`). Structure j draws its Dirichlet starts of the
+    duration simplex from ``default_rng(seeds[j])``; the starts of every
+    structure are stacked and advanced in lockstep by projected
+    Levenberg-Marquardt, head durations kept in {x >= 0, sum(x) <= horizon}.
+    Each structure stops on its own: when one of its starts reaches
+    ``stop_residual``, when all of its starts have stalled, or after
+    ``maxiter`` iterations. Every row's arithmetic is independent of the
+    other rows, so each fit is bitwise the fit of its structure alone.
+
+    A generator: yields (durations, segment_values, residual, iterations)
+    per structure in run order, as soon as that structure and every
+    earlier one have stopped. A caller that commits each fit as it arrives
+    and stops drawing once its sweep is done sees exactly the fits of a
+    one-at-a-time sweep, so the winner cannot change; only the structures
+    still being fitted in the same batch did work that is thrown away.
+    Runs above _RUN_ROWS start rows are fitted in consecutive chunks.
+    """
     horizon = prob.horizon
-    heads, n_free, evaluate = _structure_map(prob, st)
-    n_angles = n_free - heads
-    rng = np.random.default_rng(seed)
-
-    rows = []
-    for _ in range(starts if n_free else 1):
-        split = rng.dirichlet(np.ones(heads + 1)) * horizon
-        rows.append(list(split[:heads]) + list(rng.uniform(0.0, np.pi, n_angles)))
-    x = np.asarray(rows, dtype=float).reshape(len(rows), n_free)
-    durations, values, res, jac = evaluate(x)
-    f = np.linalg.norm(res, axis=1)
-
     edge = MIN_SEGMENT * horizon
-    damping = np.full(x.shape[0], _DAMPING_START)
-    idle = np.zeros(x.shape[0], dtype=int)
-    live = np.full(x.shape[0], n_free > 0)
-    iterations = 0
-    while iterations < maxiter and f.min() > stop_residual and live.any():
-        iterations += 1
-        idx = np.flatnonzero(live)
-        jt = np.swapaxes(jac[idx], 1, 2)
-        grad = (jt @ res[idx][:, :, None])[:, :, 0]
-        # Faces of the duration simplex the descent direction presses
-        # against stay active: the step keeps those head durations at 0 and,
-        # when the last segment is at 0, the head sum at the horizon.
-        head, head_grad = x[idx, :heads], grad[:, :heads]
-        moving = np.ones((idx.size, n_free))
-        moving[:, :heads] = ~((head <= edge) & (head_grad > 0.0))
-        tangent = moving * (np.arange(n_free) < heads)
-        on_sum = (horizon - head.sum(axis=1) <= edge) & ((head_grad * tangent[:, :heads]).sum(axis=1) < 0)
-        pull = (on_sum / np.maximum(tangent.sum(axis=1), 1.0))[:, None, None]
-        face = moving[:, :, None] * np.eye(n_free) - pull * tangent[:, :, None] * tangent[:, None, :]
-        normal = face @ jt @ jac[idx] @ face
-        scale = np.maximum(np.diagonal(normal, axis1=1, axis2=2).max(axis=1), 1e-300)
-        normal += (damping[idx] * scale)[:, None, None] * np.eye(n_free)
-        step = np.linalg.solve(normal, -(face @ grad[:, :, None]))[:, :, 0]
-        # A near-singular system can ask for durations far beyond the
-        # horizon; shorten such steps to the horizon so that the projection
-        # works on numbers of the horizon's size.
-        longest = np.abs(step[:, :heads]).max(axis=1, initial=0.0)
-        trial = x[idx] + step * (horizon / np.maximum(longest, horizon))[:, None]
-        trial[:, :heads] = _project_budget_rows(trial[:, :heads], horizon)
-        t_durations, t_values, t_res, t_jac = evaluate(trial)
-        t_f = np.linalg.norm(t_res, axis=1)
+    chunk_size = max(1, _RUN_ROWS // starts)
+    for first in range(0, len(run), chunk_size):
+        chunk = run[first : first + chunk_size]
+        heads, n_free, evaluate = _structure_map(prob, chunk)
+        n_angles = n_free - heads
+        per = starts if n_free else 1
+        rows = []
+        for seed in seeds[first : first + chunk_size]:
+            rng = np.random.default_rng(seed)
+            for _ in range(per):
+                split = rng.dirichlet(np.ones(heads + 1)) * horizon
+                rows.append(list(split[:heads]) + list(rng.uniform(0.0, np.pi, n_angles)))
+        x = np.asarray(rows, dtype=float).reshape(len(rows), n_free)
+        owner = np.repeat(np.arange(len(chunk)), per)
+        durations, values, res, jac = evaluate(x, owner)
+        f = np.linalg.norm(res, axis=1)
 
-        better = t_f < f[idx]
-        gained = better & (f[idx] - t_f > _STALL_GAIN * f[idx])
-        took = idx[better]
-        x[took], durations[took], values[took] = trial[better], t_durations[better], t_values[better]
-        res[took], jac[took], f[took] = t_res[better], t_jac[better], t_f[better]
-        damping[idx] = np.where(better, np.maximum(damping[idx] / 3, _DAMPING_FLOOR), damping[idx] * 10)
-        idle[idx] = np.where(gained, 0, idle[idx] + 1)
-        live[idx] = (idle[idx] < _STALL_ITERATIONS) & (damping[idx] < _DAMPING_MAX)
+        damping = np.full(x.shape[0], _DAMPING_START)
+        idle = np.zeros(x.shape[0], dtype=int)
+        live = np.full(x.shape[0], n_free > 0)
+        stopped_at = np.full(len(chunk), -1)  # each structure's iterations, -1 until it stops
+        emitted = 0
+        iterations = 0
+        while True:
+            fitting = (stopped_at < 0) & (iterations < maxiter)
+            fitting &= (f.reshape(-1, per).min(axis=1) > stop_residual) & live.reshape(-1, per).any(axis=1)
+            stopped_at[(stopped_at < 0) & ~fitting] = iterations
+            while emitted < len(chunk) and stopped_at[emitted] >= 0:
+                best = emitted * per + int(np.argmin(f[emitted * per : (emitted + 1) * per]))
+                yield durations[best], values[best], float(f[best]), int(stopped_at[emitted])
+                emitted += 1
+            if not fitting.any():
+                break
+            iterations += 1
+            idx = np.flatnonzero(live & np.repeat(fitting, per))
+            jt = np.swapaxes(jac[idx], 1, 2)
+            grad = (jt @ res[idx][:, :, None])[:, :, 0]
+            # Faces of the duration simplex the descent direction presses
+            # against stay active: the step keeps those head durations at 0
+            # and, when the last segment is at 0, the head sum at the horizon.
+            head, head_grad = x[idx, :heads], grad[:, :heads]
+            moving = np.ones((idx.size, n_free))
+            moving[:, :heads] = ~((head <= edge) & (head_grad > 0.0))
+            tangent = moving * (np.arange(n_free) < heads)
+            on_sum = (horizon - head.sum(axis=1) <= edge) & ((head_grad * tangent[:, :heads]).sum(axis=1) < 0)
+            pull = (on_sum / np.maximum(tangent.sum(axis=1), 1.0))[:, None, None]
+            face = moving[:, :, None] * np.eye(n_free) - pull * tangent[:, :, None] * tangent[:, None, :]
+            normal = face @ jt @ jac[idx] @ face
+            scale = np.maximum(np.diagonal(normal, axis1=1, axis2=2).max(axis=1), 1e-300)
+            normal += (damping[idx] * scale)[:, None, None] * np.eye(n_free)
+            step = np.linalg.solve(normal, -(face @ grad[:, :, None]))[:, :, 0]
+            # A near-singular system can ask for durations far beyond the
+            # horizon; shorten such steps to the horizon so that the
+            # projection works on numbers of the horizon's size.
+            longest = np.abs(step[:, :heads]).max(axis=1, initial=0.0)
+            trial = x[idx] + step * (horizon / np.maximum(longest, horizon))[:, None]
+            trial[:, :heads] = _project_budget_rows(trial[:, :heads], horizon)
+            t_durations, t_values, t_res, t_jac = evaluate(trial, owner[idx])
+            t_f = np.linalg.norm(t_res, axis=1)
 
-    best = int(np.argmin(f))
-    return durations[best], values[best], float(f[best]), iterations
+            better = t_f < f[idx]
+            gained = better & (f[idx] - t_f > _STALL_GAIN * f[idx])
+            took = idx[better]
+            x[took], durations[took], values[took] = trial[better], t_durations[better], t_values[better]
+            res[took], jac[took], f[took] = t_res[better], t_jac[better], t_f[better]
+            damping[idx] = np.where(better, np.maximum(damping[idx] / 3, _DAMPING_FLOOR), damping[idx] * 10)
+            idle[idx] = np.where(gained, 0, idle[idx] + 1)
+            live[idx] = (idle[idx] < _STALL_ITERATIONS) & (damping[idx] < _DAMPING_MAX)
 
 
 def _assemble_control(
@@ -504,6 +541,11 @@ def synth_l0(
     structure. One caveat: a fit feasible only to ``feas_tol`` may undercut
     the bound g(p) by up to ||p|| * ``feas_tol``, so a later fit that the
     full sweep would have preferred by that margin is not tried.
+
+    Each run of consecutive structures of one shape is fitted in one batch
+    (:func:`_fit_run`) and its fits are taken in enumeration order, so the
+    trials, the winner and the bound are those of fitting one structure at
+    a time.
     """
     if k_max is None:
         k_max = 2 * prob.d + 1
@@ -524,35 +566,44 @@ def synth_l0(
     lower_bound = float("-inf")
     best: tuple[PiecewiseConstantControl, Trajectory, float] | None = None
 
-    for order, st in enumerate(structures):
-        if best_support <= lower_bound + SUPPORT_TIE / 2:
-            trials.append(TrialRecord(st, float("nan"), float("nan"), False, 0, pruned=True))
-            continue
-        durations, values, residual, iterations = _fit_structure(
+    # Runs of consecutive structures with one (n_on, segments) shape are
+    # fitted in one batch; groupby draws them lazily, so a pruned tail is
+    # never grouped.
+    for _, group in itertools.groupby(structures, key=lambda st: (st.n_on, st.segments)):
+        run = list(group)
+        first = len(trials)
+        fits = _fit_run(
             prob,
-            st,
+            run,
+            seeds=range(seed + first, seed + first + len(run)),
             starts=_FIT_STARTS,
-            seed=seed + order,
             stop_residual=min(1e-10, 0.01 * feas_tol),
             maxiter=300,
         )
-        control = _assemble_control(prob, st, durations, values)
-        support = float(l0_cost(control, zero_tol))
-        feasible = residual <= feas_tol
-        # Iteration order is sparsest-first, so within the tie window the
-        # earlier structure keeps the slot.
-        if feasible and support < best_support - SUPPORT_TIE:
-            # The fit's residual is of its raw durations; the assembled control must meet B.
-            traj = propagate_exact(prob, control)
-            reached = endpoint_residual(traj, prob.B)
-            if reached <= feas_tol:
-                best_support, best = support, (control, traj, reached)
-                if isinstance(prob.U, Box):
-                    for p in _crossing_least_squares(prob, control, 1):
-                        lower_bound = max(lower_bound, dual_bound(prob, p))
-            else:
-                residual, feasible = reached, False
-        trials.append(TrialRecord(st, float(residual), support, bool(feasible), iterations))
+        for st, (durations, values, residual, iterations) in zip(run, fits):
+            control = _assemble_control(prob, st, durations, values)
+            support = float(l0_cost(control, zero_tol))
+            feasible = residual <= feas_tol
+            # Iteration order is sparsest-first, so within the tie window the
+            # earlier structure keeps the slot.
+            if feasible and support < best_support - SUPPORT_TIE:
+                # The fit's residual is of its raw durations; the assembled control must meet B.
+                traj = propagate_exact(prob, control)
+                reached = endpoint_residual(traj, prob.B)
+                if reached <= feas_tol:
+                    best_support, best = support, (control, traj, reached)
+                    if isinstance(prob.U, Box):
+                        for p in _crossing_least_squares(prob, control, 1):
+                            lower_bound = max(lower_bound, dual_bound(prob, p))
+                else:
+                    residual, feasible = reached, False
+            trials.append(TrialRecord(st, float(residual), support, bool(feasible), iterations))
+            if best_support <= lower_bound + SUPPORT_TIE / 2:
+                break
+        if best_support <= lower_bound + SUPPORT_TIE / 2:
+            break
+    pruned = structures[len(trials) :]
+    trials.extend(TrialRecord(st, float("nan"), float("nan"), False, 0, pruned=True) for st in pruned)
 
     if best is None:
         if scaling > 1.0 + _FEASIBLE_SLACK:

@@ -411,7 +411,17 @@ class TestBallProblem:
         path.write_text(json.dumps(self.SPEC))
         argv = [command, str(path)] + (["--out", str(tmp_path)] if command == "solve-l1" else [])
         assert main(argv) == 1
-        assert "U: " in capsys.readouterr().err and not list(tmp_path.glob("*.csv"))
+        assert "invalid problem" not in capsys.readouterr().err and not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("command", ["solve-l1", "min-time"])
+    def test_box_only_command_names_itself(self, capsys, tmp_path, command):
+        # The ball problem file is valid; the message names the command and
+        # what it needs instead of blaming the file.
+        path = tmp_path / "ball.json"
+        path.write_text(json.dumps(self.SPEC))
+        assert main([command, str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err == f'error: {command} needs a box input set (U kind "box"); this problem\'s U is a ball\n'
 
     def test_negative_phat_component_parses(self, capsys, ex2_file, ex2_run):
         _, _, out = ex2_run

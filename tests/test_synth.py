@@ -19,7 +19,7 @@ from handsoff.synth import (
     InfeasibleProblemError,
     Structure,
     _assemble_control,
-    _fit_structure,
+    _fit_run,
     _structure_map,
     enumerate_structures,
     min_time,
@@ -211,9 +211,15 @@ class TestEnumerateStructures:
                 assert enumerate_structures(m, u_set, k_max) == self.filtered_product(labels, k_max)
 
 
+def fit_alone(prob, st, seed=42):
+    """One structure fitted on its own (20 starts): (durations, values,
+    residual, iterations) of a one-structure run."""
+    return next(_fit_run(prob, [st], [seed], 20, 1e-10, 300))
+
+
 def solve_durations(prob, st):
-    """Durations and endpoint residual of one structure fit (20 starts)."""
-    durations, _values, residual, _iterations = _fit_structure(prob, st, 20, 42, 1e-10, 300)
+    """Durations and endpoint residual of one structure fit."""
+    durations, _values, residual, _iterations = fit_alone(prob, st)
     return durations, residual
 
 
@@ -245,6 +251,10 @@ class TestSolveDurations:
         assert np.all(durations >= -1e-12)
 
 
+#: The owner index of one point of a one-structure run.
+ONE = np.zeros(1, dtype=int)
+
+
 def jacobian_by_differences(evaluate, x, h=1e-6):
     """Central differences of the endpoint residual in each free variable."""
     cols = []
@@ -252,17 +262,17 @@ def jacobian_by_differences(evaluate, x, h=1e-6):
         up, down = x.copy(), x.copy()
         up[i] += h
         down[i] -= h
-        cols.append((evaluate(up[None])[2][0] - evaluate(down[None])[2][0]) / (2.0 * h))
+        cols.append((evaluate(up[None], ONE)[2][0] - evaluate(down[None], ONE)[2][0]) / (2.0 * h))
     return np.stack(cols, axis=1)
 
 
 class TestEndpointJacobian:
     def test_box_structure_matches_differences(self):
         prob = d3_plant()
-        heads, n_free, evaluate = _structure_map(prob, Structure(((-1.0,), (0.0,), (1.0,), (-1.0,))))
+        heads, n_free, evaluate = _structure_map(prob, [Structure(((-1.0,), (0.0,), (1.0,), (-1.0,)))])
         assert (heads, n_free) == (3, 3)
         x = np.array([0.9, 2.5, 1.1])  # last segment: 1.5
-        jac = evaluate(x[None])[3][0]
+        jac = evaluate(x[None], ONE)[3][0]
         assert np.allclose(jac, jacobian_by_differences(evaluate, x), rtol=1e-7, atol=1e-8)
 
     def test_two_channel_ball_structure_matches_differences(self):
@@ -276,13 +286,83 @@ class TestEndpointJacobian:
             B=np.zeros(3),
             U=Ball(1.5),
         )
-        heads, n_free, evaluate = _structure_map(prob, Structure(("on", "off", "on")))
+        heads, n_free, evaluate = _structure_map(prob, [Structure(("on", "off", "on"))])
         assert (heads, n_free) == (2, 4)
         x = np.array([1.2, 1.7, 0.4, 2.3])  # two head durations, then one angle per "on"
-        durations, values, _, jac = evaluate(x[None])
+        durations, values, _, jac = evaluate(x[None], ONE)
         assert np.allclose(values[0, 0], 1.5 * np.array([np.cos(0.4), np.sin(0.4)]))
         assert durations[0, 2] == pytest.approx(2.1)
         assert np.allclose(jac[0], jacobian_by_differences(evaluate, x), rtol=1e-7, atol=1e-8)
+
+
+def ball_plant() -> Problem:
+    """The ROADMAP d=3 ball plant: the d=3 plant's F, then G (3, 2) and A."""
+    rng = np.random.default_rng(0)
+    f = rng.uniform(-1, 1, (3, 3)) - 1.5 * np.eye(3)
+    g = rng.uniform(-1, 1, (3, 2))
+    return Problem(F=f, G=g, a=0, b=6, A=rng.uniform(-1, 1, 3), B=np.zeros(3), U=Ball(1.0))
+
+
+def two_channel_plant() -> Problem:
+    """A seeded stable 2-channel plant with an asymmetric box."""
+    rng = np.random.default_rng(5)
+    return Problem(F=rng.uniform(-1, 1, (2, 2)) - np.eye(2), G=rng.uniform(-1, 1, (2, 2)), a=0, b=4,
+                   A=rng.uniform(-1, 1, 2), B=np.zeros(2), U=Box([-1.0, -0.5], [1.0, 1.0]))
+
+
+def sweep_runs(prob: Problem, k_max: int):
+    """synth_l0's runs: consecutive structures of one (n_on, segments)
+    shape, each with the seeds synth_l0 gives them at seed 42."""
+    structures = enumerate(enumerate_structures(prob.m, prob.U, k_max))
+    for _, group in itertools.groupby(structures, key=lambda item: (item[1].n_on, item[1].segments)):
+        orders, run = zip(*group)
+        yield list(run), [42 + order for order in orders]
+
+
+class TestFitRun:
+    def assert_run_fits_alone(self, prob, run, seeds):
+        fits = list(_fit_run(prob, run, seeds, 20, 1e-10, 300))
+        assert len(fits) == len(run)
+        for st, seed, (durations, values, residual, iterations) in zip(run, seeds, fits):
+            alone = fit_alone(prob, st, seed)
+            assert np.array_equal(durations, alone[0]) and np.array_equal(values, alone[1])
+            assert residual == alone[2] and iterations == alone[3]
+
+    @pytest.mark.parametrize("name, k_max", [("ex1", 3), ("ex2", 5), ("d3", 4), ("two_channel", 2), ("ball", 3)])
+    def test_every_structure_fits_as_alone(self, name, k_max, ex1, ex2):
+        prob = {"ex1": ex1, "ex2": ex2, "d3": d3_plant(), "two_channel": two_channel_plant(),
+                "ball": ball_plant()}[name]
+        for run, seeds in sweep_runs(prob, k_max):
+            self.assert_run_fits_alone(prob, run, seeds)
+
+    def test_run_split_by_the_row_cap(self, monkeypatch):
+        # The d=3 plant's longest run at k_max 4, 12 structures of 20 starts,
+        # fitted two structures (40 start rows) at a time.
+        from handsoff import synth
+
+        prob = d3_plant()
+        run, seeds = max(sweep_runs(prob, 4), key=lambda item: len(item[0]))
+        assert len(run) == 12
+        batches = []
+        real = synth._endpoint_jacobian
+        monkeypatch.setattr(synth, "_endpoint_jacobian", lambda p, v, d: batches.append(len(v)) or real(p, v, d))
+        monkeypatch.setattr(synth, "_RUN_ROWS", 40)
+        self.assert_run_fits_alone(prob, run, seeds)
+        assert max(batches) == 40
+
+    def test_endpoint_evaluations(self, ex2, monkeypatch):
+        # Measured: 563 and 20 evaluations, down from 1,790 and 52 with one
+        # structure per batch; the solver iterations are those of that sweep.
+        from handsoff import synth
+
+        calls = []
+        real = synth._endpoint_jacobian
+        monkeypatch.setattr(synth, "_endpoint_jacobian", lambda p, v, d: calls.append(1) or real(p, v, d))
+        for prob, k_max, most, iterations in ((d3_plant(), 4, 600, 1745), (ex2, None, 25, 43)):
+            calls.clear()
+            result = synth_l0(prob, k_max=k_max)
+            assert len(calls) <= most
+            assert sum(t.iterations for t in result.trials) == iterations
 
 
 def test_fits_are_controls():
@@ -307,7 +387,7 @@ def test_fits_are_controls():
         U=UNIT_BOX,
     )
     for order, st in enumerate(enumerate_structures(1, UNIT_BOX, 4)):
-        durations, values, residual, _ = _fit_structure(prob, st, 20, 42 + order, 1e-10, 300)
+        durations, values, residual, _ = fit_alone(prob, st, 42 + order)
         assert np.all(durations >= 0.0) and durations.sum() == pytest.approx(6.0, abs=1e-12)
         traj = propagate_exact(prob, _assemble_control(prob, st, durations, values))
         assert endpoint_residual(traj, prob.B) == pytest.approx(residual, abs=1e-9)
@@ -409,13 +489,13 @@ class TestSynthL0:
         # (support 0) must be caught by propagating its control.
         from handsoff import synth
 
-        real_fit = synth._fit_structure
+        real_fit = synth._fit_run
 
-        def lying_fit(prob, st, *args, **kwargs):
-            durations, values, residual, iterations = real_fit(prob, st, *args, **kwargs)
-            return durations, values, 0.0 if st.n_on == 0 else residual, iterations
+        def lying_fit(prob, run, *args, **kwargs):
+            for st, (durations, values, residual, iterations) in zip(run, real_fit(prob, run, *args, **kwargs)):
+                yield durations, values, 0.0 if st.n_on == 0 else residual, iterations
 
-        monkeypatch.setattr(synth, "_fit_structure", lying_fit)
+        monkeypatch.setattr(synth, "_fit_run", lying_fit)
         result = synth_l0(ex1)
         assert result.support == pytest.approx(3.0, abs=1e-6)
         assert result.residual <= 1e-6
