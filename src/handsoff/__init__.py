@@ -13,9 +13,9 @@ from .certificate import (
     CertificateReport,
     certify,
     check_adjoint,
-    check_constancy,
     check_hamiltonian_max,
     dual_bound,
+    recover_adjoint,
 )
 from .control_law import (
     AdjointParams,
@@ -26,7 +26,7 @@ from .control_law import (
     pointwise_hamiltonian,
     switching_function,
 )
-from .linalg import SingularMatrixError, discretize_zoh, mat_exp, solve_linear
+from .linalg import SingularMatrixError, mat_exp, solve_linear
 from .lp import LpProblem, LpSolution, LpStatus, build_l1_lp, l1_solve, linf_feasibility, simplex_solve
 from .model import (
     Ball,
@@ -60,7 +60,6 @@ from .synth import (
     SynthResult,
     enumerate_structures,
     min_time,
-    recover_adjoint,
     synth_l0,
 )
 
@@ -90,9 +89,7 @@ __all__ = [
     "candidates_at",
     "certify",
     "check_adjoint",
-    "check_constancy",
     "check_hamiltonian_max",
-    "discretize_zoh",
     "dual_bound",
     "endpoint_residual",
     "enumerate_structures",

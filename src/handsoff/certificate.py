@@ -42,6 +42,11 @@ yields a report with ``nontriviality`` false.
 Lagrange duality every terminal costate gives a lower bound on the support
 of every feasible control, and at the multiplier of a normal extremal the
 bound equals the extremal's support.
+
+:func:`recover_adjoint` finds the multiplier a control is to be judged
+with, and judges each candidate by the certificate's own Hamiltonian test:
+candidates from the control's threshold crossings
+(:func:`_crossing_least_squares`), then a fixed screen.
 """
 
 from __future__ import annotations
@@ -56,15 +61,16 @@ from .control_law import (
     TIE_TOL, AdjointParams, _input_grid, adjoint_on_grid, bang_off_bang, hamiltonian_gap, hamiltonian_values
 )
 from .linalg import sorted_unique
-from .model import Box, PiecewiseConstantControl, Problem, Trajectory
+from .model import ZERO_TOL, Box, PiecewiseConstantControl, Problem, Trajectory, _off_mask
 from .sim import (
     HamiltonianProfile,
     NonlinearDynamics,
-    _Extremal,
     _sample_extremal,
+    breakpoint_mask,
     endpoint_residual,
     propagate_exact,
     propagate_rk4,
+    trajectory_grid,
 )
 
 #: Default tolerance applied to every residual check; one order above the
@@ -136,7 +142,7 @@ def check_adjoint(
     return _adjoint_defect(traj, _sample_extremal(prob, ap, traj, None, dynamics))
 
 
-def _adjoint_defect(traj: Trajectory, ex: _Extremal) -> float:
+def _adjoint_defect(traj: Trajectory, ex: HamiltonianProfile) -> float:
     """Central-difference defect of the backward-integrated costate, at the
     samples whose two neighbours are equally spaced (segment joins are not)."""
     c, h = ex.costates, np.diff(traj.grid)
@@ -168,11 +174,11 @@ def _hmax_shortfall(
     prob: Problem,
     ap: AdjointParams,
     traj: Trajectory,
-    ex: _Extremal,
+    ex: HamiltonianProfile,
     dynamics: NonlinearDynamics | None,
 ) -> float:
     """:func:`check_hamiltonian_max` on an evaluated extremal."""
-    keep = np.flatnonzero(ex.keep)
+    keep = np.flatnonzero(ex.off_breakpoint)
     if dynamics is None:
         gaps = hamiltonian_gap(prob.U, ex.costates[keep] @ prob.G, ap.eta, traj.controls[keep])
         return float(np.max(gaps))
@@ -187,13 +193,6 @@ def _hmax_shortfall(
         values = hamiltonian_values(prob, ap.eta, np.broadcast_to(p, velocities.shape), None, inputs, velocities)
         shortfall = max(shortfall, float(values.max() - ex.values[i]))
     return shortfall
-
-
-def check_constancy(values: np.ndarray, mask: np.ndarray | None = None) -> float:
-    """Spread (max - min) of a Hamiltonian profile over unflagged samples."""
-    values = np.asarray(values, dtype=float)
-    keep = np.ones(values.shape, dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
-    return HamiltonianProfile(values, keep).spread()
 
 
 def certify(
@@ -247,7 +246,7 @@ def _certify_trajectory(
         ex = _sample_extremal(prob, ap, traj, control, dynamics)
         adjoint_res = check_adjoint(prob, ap) if dynamics is None else _adjoint_defect(traj, ex)
         hmax = _hmax_shortfall(prob, ap, traj, ex, dynamics)
-        constancy = HamiltonianProfile(ex.values, ex.keep).spread()
+        constancy = ex.spread()
         # The costate of a nontrivial terminal vector never vanishes for LTI
         # flows; verify numerically so the nonlinear path gets the same check.
         nontrivial = eta == 1 or float(np.linalg.norm(ex.costates, axis=1).min()) > 0.0
@@ -358,3 +357,112 @@ def dual_bound(prob: Problem, p_hat: np.ndarray) -> float:
     excess = float((np.maximum(phi, 0.0) @ weights) @ half)
     p_start = adjoint_on_grid(prob, ap, np.array([prob.a]))[0]
     return float(p @ prob.B - p_start @ prob.A) - excess
+
+
+#: Multipliers :func:`recover_adjoint` scores when no crossing candidate passes.
+_SCREEN_POINTS = 50
+
+
+def recover_adjoint(
+    prob: Problem, control: PiecewiseConstantControl, seed: int = 42
+) -> AdjointParams | None:
+    """Find a multiplier (eta, p_hat) consistent with a control.
+
+    The verdict is the certificate's own Hamiltonian test: the largest
+    :func:`handsoff.control_law.hamiltonian_gap` of the control on the
+    :func:`handsoff.sim.propagate_exact` grid, off its breakpoints, is at
+    most DEFAULT_TOL. For a control meeting the endpoint, support(u) -
+    dual_bound(p) is the integral of that gap. For box inputs the
+    candidates come from the control's own transitions: each one pins the
+    switching function to a threshold at that instant, an equation linear
+    in p_hat (:func:`_crossing_least_squares`). Controls without such
+    equations, or whose solution fails the test (constant bang controls,
+    ball inputs), are scored on a fixed screen instead: the signed unit
+    vectors, the normalized ones vector and seeded normals.
+
+    Tries the normal case first, then the abnormal one restricted to the
+    unit sphere. Returns None when no candidate passes; that is a verdict
+    (no multiplier was found that makes the control an extremal), not an
+    error.
+    """
+    grid = trajectory_grid(prob, control)
+    grid = grid[breakpoint_mask(grid, control)]
+    u_samples = control.sample(grid)
+
+    w_maps = np.matmul(prob.G.T[None, :, :], prob.costate_flow(prob.b - grid))  # (n, m, d)
+
+    def gap_batch(p_batch: np.ndarray, eta: int) -> np.ndarray:
+        p = np.atleast_2d(p_batch)
+        norms = np.linalg.norm(p, axis=1, keepdims=True)
+        if eta == 0:
+            p = p / np.maximum(norms, 1e-12)
+        worst = hamiltonian_gap(prob.U, np.einsum("nmd,pd->pnm", w_maps, p), eta, u_samples).max(axis=1)
+        return np.where(norms[:, 0] < 1e-9, np.inf, worst) if eta == 0 else worst
+
+    d = prob.d
+    deterministic = [sign * np.eye(d)[i] for i in range(d) for sign in (1.0, -1.0)]
+    deterministic.append(np.ones(d) / np.sqrt(d))
+    rng = np.random.default_rng(seed)
+
+    for eta in (1, 0):
+        if isinstance(prob.U, Box):
+            for p in _crossing_least_squares(prob, control, eta):
+                if np.linalg.norm(p) >= 1e-9 and gap_batch(p, eta)[0] <= DEFAULT_TOL:
+                    return AdjointParams(eta, p)
+
+        rows = [np.asarray(v, dtype=float) for v in deterministic]
+        while len(rows) < _SCREEN_POINTS:
+            rows.append(rng.normal(size=d) * rng.uniform(0.3, 5.0))
+        screen = np.asarray(rows)
+        gaps = gap_batch(screen, eta)
+        if float(gaps.min()) <= DEFAULT_TOL:
+            return AdjointParams(eta, screen[int(np.argmin(gaps))])
+    return None
+
+
+def _crossing_least_squares(
+    prob: Problem, control: PiecewiseConstantControl, eta: int
+) -> np.ndarray:
+    """Terminal costates from the switching-threshold crossings of a control.
+
+    At an interior breakpoint where the input moves between the zero
+    vector and a saturation v, the gain of the switching value must sit on
+    the threshold: <s(theta), v> = 1 in the normal case. At an abnormal
+    sign change of channel i, s_i(theta) = 0. Each condition is one linear
+    equation in p_hat. The normal candidate is the least-squares solution
+    of the stack, exact whenever the control really is a normal extremal.
+    The abnormal equations are homogeneous, so their candidates are the
+    unit vector of least squared residual (the last right-singular vector
+    of the stack) with both signs. Returns the candidates as rows (k, d),
+    none when no transition yields an equation (constant controls).
+    """
+    rows = []
+    targets = []
+    values = control.values
+    # The support measure's zero rule: roundoff within ZERO_TOL of 0, as
+    # L1 solutions and CSV round trips leave on off segments, is neither
+    # "on" nor a sign.
+    on = ~_off_mask(values, ZERO_TOL)
+    signs = np.sign(values) * ~_off_mask(values[:, :, None], ZERO_TOL)
+    # s(theta_k) = w_maps[k - 1] @ p_hat at each interior breakpoint theta_k
+    w_maps = np.matmul(prob.G.T, prob.costate_flow(prob.b - control.breakpoints[1:-1]))
+    for k in range(1, values.shape[0]):
+        w_t = w_maps[k - 1]
+        if eta == 1:
+            if on[k - 1] == on[k]:
+                continue  # off-to-off and bang-to-bang have no normal-case crossing
+            bang = values[k - 1] if on[k - 1] else values[k]
+            # <s, v> = 1 scaled so that the largest coefficient of v is 1:
+            # with one channel this is the equation s_i = 1 / v_i.
+            scale = bang[np.argmax(np.abs(bang))]
+            rows.append((bang / scale) @ w_t)
+            targets.append(1.0 / scale)
+        else:
+            rows.extend(w_t[signs[k - 1] * signs[k] < 0.0])
+    if not rows:
+        return np.empty((0, prob.d))
+    if eta == 1:
+        solution, *_ = np.linalg.lstsq(np.asarray(rows), np.asarray(targets), rcond=None)
+        return solution[None, :]
+    null = np.linalg.svd(np.asarray(rows))[2][-1]
+    return np.stack([null, -null])

@@ -42,6 +42,7 @@ from .synth import (
     InfeasibleProblemError,
     NoFeasibleStructureError,
     StructureBudgetError,
+    UnsupportedProblemError,
     min_time,
     synth_l0,
 )
@@ -255,6 +256,8 @@ def cmd_certify(args) -> int:
     p_hat = _parse_vector(args.phat)
     if p_hat.size != prob.d:
         raise _UsageError(f"--phat needs {prob.d} components, got {p_hat.size}")
+    if not np.all(np.isfinite(p_hat)):
+        raise _UsageError(f"--phat components must be finite, got {args.phat}")
     report = certify(prob, args.eta, p_hat, control, tol=args.tol)
     print(report.to_json())
     return EXIT_OK if report.passed else EXIT_CERTIFICATE
@@ -342,7 +345,7 @@ def main(argv: list[str] | None = None) -> int:
         args = _parser().parse_args(argv)
         _check_ranges(args)
         return _COMMANDS[args.command](args)
-    except _UsageError as exc:
+    except (_UsageError, UnsupportedProblemError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (ValidationError, json.JSONDecodeError) as exc:

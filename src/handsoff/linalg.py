@@ -133,21 +133,6 @@ def zoh_block(f: np.ndarray, g: np.ndarray) -> np.ndarray:
     return np.block([[f, g], [np.zeros((g.shape[1], d + g.shape[1]))]])
 
 
-def discretize_zoh(f: np.ndarray, g: np.ndarray, dt: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Exact zero-order-hold discretization of ``zdot = F z + G u``.
-
-    Returns ``(a_d, b_d)`` with ``a_d = exp(F dt)`` and
-    ``b_d = int_0^dt exp(F s) ds @ G``, both read off one exponential of
-    :func:`zoh_block`. A 1-D array of steps gives stacked pairs.
-    """
-    aug = zoh_block(f, g)
-    if not np.all(np.asarray(dt) > 0):
-        raise ValueError(f"step must be positive, got {dt}")
-    d = np.shape(f)[0]
-    e = mat_exp(aug, dt)
-    return e[..., :d, :d], e[..., :d, d:]
-
-
 def sorted_unique(values: np.ndarray) -> np.ndarray:
     """The sorted distinct entries of an array without NaN: ``np.unique``'s
     own sort-and-compare, minus its NaN and masked-array branches, whose

@@ -227,14 +227,9 @@ class PiecewiseConstantControl:
     def segment_lengths(self) -> np.ndarray:
         return np.diff(self.breakpoints)
 
-    def value_at(self, t: float) -> np.ndarray:
-        """Input in effect at time t (right-limit convention)."""
-        k = int(np.searchsorted(self.breakpoints, t, side="right")) - 1
-        k = min(max(k, 0), self.values.shape[0] - 1)
-        return self.values[k]
-
     def sample(self, times: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`value_at` over an array of times."""
+        """Inputs in effect at a time or an array of times (right-limit
+        convention: a breakpoint takes the segment it starts, b the last)."""
         idx = np.searchsorted(self.breakpoints, np.asarray(times, float), side="right") - 1
         idx = np.clip(idx, 0, self.values.shape[0] - 1)
         return self.values[idx]
@@ -394,13 +389,17 @@ def load_control(path: str | Path) -> PiecewiseConstantControl:
         raise ValidationError("header", f"unexpected control CSV header {lines[0]!r}")
     m = len(header) - 2
     starts, ends, values = [], [], []
-    for ln in lines[1:]:
+    for i, ln in enumerate(lines[1:], start=1):
         cells = ln.split(",")
         if len(cells) != m + 2:
             raise ValidationError("row", f"expected {m + 2} cells, got {len(cells)}: {ln!r}")
-        starts.append(float(cells[0]))
-        ends.append(float(cells[1]))
-        values.append([float(c) for c in cells[2:]])
+        try:
+            start, end, *value = (float(c) for c in cells)
+        except ValueError:
+            raise ValidationError("row", f"segment row {i} has a non-numeric cell: {ln!r}") from None
+        starts.append(start)
+        ends.append(end)
+        values.append(value)
     breakpoints = [starts[0]]
     for k in range(len(starts)):
         if k > 0 and starts[k] != ends[k - 1]:

@@ -10,14 +10,15 @@ control discontinuity). Fixed-step keeps regression numbers reproducible;
 these problems are desk-scale, so speed is not a concern.
 
 :func:`_sample_extremal` evaluates a candidate extremal along its
-trajectory once; profiles, trajectory CSVs and certificates read it.
+trajectory once, into one record (:class:`HamiltonianProfile`); profiles,
+trajectory CSVs and certificates read it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -171,14 +172,19 @@ def endpoint_residual(traj: Trajectory, target: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class HamiltonianProfile:
-    """Hamiltonian samples along a trajectory grid.
+    """A candidate extremal sampled on its trajectory grid.
 
+    ``values`` is the Hamiltonian <p, zdot> + eta [u == 0] at each sample.
     ``off_breakpoint`` masks the samples that are safely away from control
-    switching instants; constancy statements apply to those only.
+    switching instants; constancy and maximization statements apply to
+    those only. ``costates`` holds p at each sample, and ``jacobians``,
+    for callback dynamics only, d(phi)/dz at (z_i, u_i) for i < n - 1.
     """
 
     values: np.ndarray
     off_breakpoint: np.ndarray
+    costates: np.ndarray | None = None
+    jacobians: np.ndarray | None = None
 
     def spread(self) -> float:
         kept = self.values[self.off_breakpoint]
@@ -195,22 +201,13 @@ def breakpoint_mask(grid: np.ndarray, u: PiecewiseConstantControl) -> np.ndarray
     return dist > BREAKPOINT_WINDOW * (u.b - u.a)
 
 
-class _Extremal(NamedTuple):
-    """A candidate extremal sampled on its trajectory grid."""
-
-    keep: np.ndarray  # samples off the control breakpoints
-    costates: np.ndarray
-    values: np.ndarray  # the Hamiltonian <p, zdot> + eta [u == 0]
-    jacobians: np.ndarray | None  # callback dynamics: d(phi)/dz at (z_i, u_i), i < n - 1
-
-
 def _sample_extremal(
     prob: Problem,
     ap: AdjointParams,
     traj: Trajectory,
     u: PiecewiseConstantControl | None,
     dynamics: NonlinearDynamics | None = None,
-) -> _Extremal:
+) -> HamiltonianProfile:
     """Costates and Hamiltonian of (ap, traj) with the off-breakpoint mask.
 
     LTI plants use the analytic costate on the trajectory grid; callback
@@ -226,7 +223,7 @@ def _sample_extremal(
             [np.asarray(dynamics.phi(z, v), dtype=float) for z, v in zip(traj.states, traj.controls)]
         )
     values = hamiltonian_values(prob, ap.eta, costates, traj.states, traj.controls, velocities)
-    return _Extremal(keep, costates, values, jacobians)
+    return HamiltonianProfile(values, keep, costates, jacobians)
 
 
 def _backward_adjoint(
@@ -268,8 +265,7 @@ def hamiltonian_profile(
     Uses the analytic LTI costate. Along a genuine extremal the profile is
     constant off switching instants.
     """
-    ex = _sample_extremal(prob, ap, traj, u)
-    return HamiltonianProfile(values=ex.values, off_breakpoint=ex.keep)
+    return _sample_extremal(prob, ap, traj, u)
 
 
 def save_trajectory(

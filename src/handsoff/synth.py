@@ -11,7 +11,8 @@ Structure search is the primary path rather than shooting on the terminal
 costate: in singular instances the switching function sits exactly on the
 threshold, the pointwise maximizer is a tie set for all time, and no
 costate determines the control. Duration optimization resolves the tie;
-shooting is demoted to certificate recovery (:func:`recover_adjoint`).
+shooting is demoted to certificate recovery
+(:func:`handsoff.certificate.recover_adjoint`).
 
 Durations are fitted by the switching-time method (Kaya & Noakes): the
 endpoint is smooth in the segment durations, with the closed-form
@@ -46,10 +47,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lp
-from .certificate import DEFAULT_TOL, CertificateReport, _certify_trajectory, dual_bound
-from .control_law import AdjointParams, hamiltonian_gap
+from .certificate import (
+    CertificateReport, _certify_trajectory, _crossing_least_squares, dual_bound, recover_adjoint
+)
+from .control_law import AdjointParams
 from .model import Ball, Box, PiecewiseConstantControl, Problem, Trajectory, l0_cost
-from .sim import breakpoint_mask, endpoint_residual, propagate_exact, trajectory_grid
+from .sim import endpoint_residual, propagate_exact
 
 #: Segment durations below this fraction of the horizon are dropped when a
 #: candidate is assembled into a control.
@@ -71,6 +74,11 @@ class NoFeasibleStructureError(RuntimeError):
 
 class StructureBudgetError(ValueError):
     """The segment budget k_max enumerates too many structures to fit."""
+
+
+class UnsupportedProblemError(ValueError):
+    """A valid problem the sweep cannot fit: free ball directions exist for
+    2 or 3 input channels only."""
 
 
 @dataclass(frozen=True)
@@ -306,8 +314,6 @@ def _structure_map(prob: Problem, run: list[Structure]):
     segs = run[0].segments
     heads = segs - 1
     if any(lab in ("off", "on") for st in run for lab in st.labels):
-        if not isinstance(prob.U, Ball) or prob.m not in (2, 3):
-            raise ValueError("off/on labels require a ball input set with m in {2, 3}")
         on_positions = np.array([[k for k, lab in enumerate(st.labels) if lab == "on"] for st in run])
         base_values = np.zeros((len(run), segs, prob.m))
     else:
@@ -523,30 +529,38 @@ def synth_l0(
     (within SUPPORT_TIE, ties go to the earlier structure). A fit becomes
     the incumbent only once its assembled control, propagated exactly,
     meets the endpoint within ``feas_tol``. The winner is handed to
-    :func:`recover_adjoint` and certified (:func:`handsoff.certificate.certify`)
-    on the trajectory it was accepted with; a passing normal certificate
-    marks the result locally optimal, which for state-affine dynamics is
-    exactly the sufficiency condition.
+    :func:`handsoff.certificate.recover_adjoint` and certified
+    (:func:`handsoff.certificate.certify`) on the trajectory it was
+    accepted with; a passing normal certificate marks the result locally
+    optimal, which for state-affine dynamics is exactly the sufficiency
+    condition.
 
     For box inputs each new incumbent's normal crossing equations
-    (:func:`_crossing_least_squares`) give a terminal costate, and
-    :func:`handsoff.certificate.dual_bound` at it a lower bound on the support
-    of every feasible control; ``lower_bound`` keeps the best one, also
-    taken at the certificate's multiplier when that is normal. The sweep
-    stops once the incumbent's support is at most ``lower_bound +
-    SUPPORT_TIE / 2`` and records the remaining structures as pruned. The
-    stop cannot change the winner: by weak duality a later exact fit has
-    support at least ``lower_bound``, so it cannot undercut the incumbent
-    by the SUPPORT_TIE a takeover needs, and ties stay with the earlier
-    structure. One caveat: a fit feasible only to ``feas_tol`` may undercut
-    the bound g(p) by up to ||p|| * ``feas_tol``, so a later fit that the
-    full sweep would have preferred by that margin is not tried.
+    (:func:`handsoff.certificate._crossing_least_squares`) give a terminal
+    costate, and :func:`handsoff.certificate.dual_bound` at it a lower
+    bound on the support of every feasible control; ``lower_bound`` keeps
+    the best one, also taken at the certificate's multiplier when that is
+    normal. The sweep stops once the incumbent's support is at most
+    ``lower_bound + SUPPORT_TIE / 2`` and records the remaining structures
+    as pruned. The stop cannot change the winner: by weak duality a later
+    exact fit has support at least ``lower_bound``, so it cannot undercut
+    the incumbent by the SUPPORT_TIE a takeover needs, and ties stay with
+    the earlier structure. One caveat: a fit feasible only to ``feas_tol``
+    may undercut the bound g(p) by up to ||p|| * ``feas_tol``, so a later
+    fit that the full sweep would have preferred by that margin is not
+    tried.
 
     Each run of consecutive structures of one shape is fitted in one batch
     (:func:`_fit_run`) and its fits are taken in enumeration order, so the
     trials, the winner and the bound are those of fitting one structure at
-    a time.
+    a time. A ball input set in more than 3 channels raises
+    :class:`UnsupportedProblemError` before any work.
     """
+    if isinstance(prob.U, Ball) and prob.m > 3:
+        raise UnsupportedProblemError(
+            "sparsest-control synthesis needs a ball input set of at most 3 channels (the ball-direction "
+            f"fit handles 2 or 3); this problem's U is a ball in {prob.m} channels"
+        )
     if k_max is None:
         k_max = 2 * prob.d + 1
     structures = enumerate_structures(prob.m, prob.U, k_max)
@@ -634,110 +648,3 @@ def synth_l0(
         trials=tuple(trials),
         lower_bound=lower_bound,
     )
-
-
-#: Multipliers :func:`recover_adjoint` scores when no crossing candidate passes.
-_SCREEN_POINTS = 50
-
-
-def recover_adjoint(
-    prob: Problem, control: PiecewiseConstantControl, seed: int = 42
-) -> AdjointParams | None:
-    """Find a multiplier (eta, p_hat) consistent with a control.
-
-    The verdict is the certificate's own Hamiltonian test: the largest
-    :func:`handsoff.control_law.hamiltonian_gap` of the control on the
-    :func:`handsoff.sim.propagate_exact` grid, off its breakpoints, is at
-    most DEFAULT_TOL. For a control meeting the endpoint, support(u) -
-    dual_bound(p) is the integral of that gap. For box inputs the
-    candidates come from the control's own transitions: each one pins the
-    switching function to a threshold at that instant, an equation linear
-    in p_hat (:func:`_crossing_least_squares`). Controls without such
-    equations, or whose solution fails the test (constant bang controls,
-    ball inputs), are scored on a fixed screen instead: the signed unit
-    vectors, the normalized ones vector and seeded normals.
-
-    Tries the normal case first, then the abnormal one restricted to the
-    unit sphere. Returns None when no candidate passes; that is a verdict
-    (no multiplier was found that makes the control an extremal), not an
-    error.
-    """
-    grid = trajectory_grid(prob, control)
-    grid = grid[breakpoint_mask(grid, control)]
-    u_samples = control.sample(grid)
-
-    w_maps = np.matmul(prob.G.T[None, :, :], prob.costate_flow(prob.b - grid))  # (n, m, d)
-
-    def gap_batch(p_batch: np.ndarray, eta: int) -> np.ndarray:
-        p = np.atleast_2d(p_batch)
-        norms = np.linalg.norm(p, axis=1, keepdims=True)
-        if eta == 0:
-            p = p / np.maximum(norms, 1e-12)
-        worst = hamiltonian_gap(prob.U, np.einsum("nmd,pd->pnm", w_maps, p), eta, u_samples).max(axis=1)
-        return np.where(norms[:, 0] < 1e-9, np.inf, worst) if eta == 0 else worst
-
-    d = prob.d
-    deterministic = [sign * np.eye(d)[i] for i in range(d) for sign in (1.0, -1.0)]
-    deterministic.append(np.ones(d) / np.sqrt(d))
-    rng = np.random.default_rng(seed)
-
-    for eta in (1, 0):
-        if isinstance(prob.U, Box):
-            for p in _crossing_least_squares(prob, control, eta):
-                if np.linalg.norm(p) >= 1e-9 and gap_batch(p, eta)[0] <= DEFAULT_TOL:
-                    return AdjointParams(eta, p)
-
-        rows = [np.asarray(v, dtype=float) for v in deterministic]
-        while len(rows) < _SCREEN_POINTS:
-            rows.append(rng.normal(size=d) * rng.uniform(0.3, 5.0))
-        screen = np.asarray(rows)
-        gaps = gap_batch(screen, eta)
-        if float(gaps.min()) <= DEFAULT_TOL:
-            return AdjointParams(eta, screen[int(np.argmin(gaps))])
-    return None
-
-
-def _crossing_least_squares(
-    prob: Problem, control: PiecewiseConstantControl, eta: int
-) -> np.ndarray:
-    """Terminal costates from the switching-threshold crossings of a control.
-
-    At an interior breakpoint where the input moves between the zero
-    vector and a saturation v, the gain of the switching value must sit on
-    the threshold: <s(theta), v> = 1 in the normal case. At an abnormal
-    sign change of channel i, s_i(theta) = 0. Each condition is one linear
-    equation in p_hat. The normal candidate is the least-squares solution
-    of the stack, exact whenever the control really is a normal extremal.
-    The abnormal equations are homogeneous, so their candidates are the
-    unit vector of least squared residual (the last right-singular vector
-    of the stack) with both signs. Returns the candidates as rows (k, d),
-    none when no transition yields an equation (constant controls).
-    """
-    rows = []
-    targets = []
-    values = control.values
-    # s(theta_k) = w_maps[k - 1] @ p_hat at each interior breakpoint theta_k
-    w_maps = np.matmul(prob.G.T, prob.costate_flow(prob.b - control.breakpoints[1:-1]))
-    for k in range(1, values.shape[0]):
-        w_t = w_maps[k - 1]
-        before, after = values[k - 1], values[k]
-        if np.array_equal(before, after):
-            continue
-        if eta == 1:
-            if before.any() and after.any():
-                continue  # bang-to-bang jumps have no normal-case crossing
-            bang = before if before.any() else after
-            # <s, v> = 1 scaled so that the largest coefficient of v is 1:
-            # with one channel this is the equation s_i = 1 / v_i.
-            scale = bang[np.argmax(np.abs(bang))]
-            rows.append((bang / scale) @ w_t)
-            targets.append(1.0 / scale)
-        else:
-            rows.extend(w_t[np.sign(before) * np.sign(after) < 0.0])
-    if not rows:
-        return np.empty((0, prob.d))
-    if eta == 1:
-        solution, *_ = np.linalg.lstsq(np.asarray(rows), np.asarray(targets), rcond=None)
-        return solution[None, :]
-    null = np.linalg.svd(np.asarray(rows))[2][-1]
-    return np.stack([null, -null])

@@ -44,6 +44,21 @@ def ex2_control() -> PiecewiseConstantControl:
     return example_2_reference_control()
 
 
+def d3_plant(seed: int = 0) -> Problem:
+    """The ROADMAP d=3 plant; another seed perturbs every entry of F, G
+    and A by at most 0.01, like the benchmark's sparse_d3 family."""
+    rng = np.random.default_rng(0)
+    f = rng.uniform(-1, 1, (3, 3)) - 1.5 * np.eye(3)
+    g = rng.uniform(-1, 1, (3, 1))
+    a = rng.uniform(-1, 1, 3)
+    if seed:
+        spread = np.random.default_rng([seed, 3])
+        f = f + spread.uniform(-0.01, 0.01, f.shape)
+        g = g + spread.uniform(-0.01, 0.01, g.shape)
+        a = a + spread.uniform(-0.01, 0.01, a.shape)
+    return Problem(F=f, G=g, a=0, b=6, A=a, B=np.zeros(3), U=Box([-1.0], [1.0]))
+
+
 def random_problem(rng: np.random.Generator, d: int = 2, m: int = 1, stable: bool = True) -> Problem:
     """Random LTI steering task with a unit box input set."""
     f = rng.uniform(-1.0, 1.0, (d, d))

@@ -10,12 +10,11 @@ from scipy.integrate import quad
 from scipy.linalg import expm
 from scipy.optimize import brentq
 
-from conftest import random_control, random_problem
+from conftest import d3_plant, random_control, random_problem
 from handsoff import certificate, sim
 from handsoff.certificate import (
     certify,
     check_adjoint,
-    check_constancy,
     check_hamiltonian_max,
     dual_bound,
 )
@@ -24,6 +23,7 @@ from handsoff.linalg import ExpKernel, sorted_unique
 from handsoff.lp import l1_solve
 from handsoff.model import Ball, Box, PiecewiseConstantControl, Problem, l0_cost
 from handsoff.sim import (
+    HamiltonianProfile,
     NonlinearDynamics,
     endpoint_residual,
     hamiltonian_profile,
@@ -199,10 +199,7 @@ class TestCheckHamiltonianMax:
 def _roadmap_d3_candidate():
     """The ROADMAP d=3 plant with a bang-off-bang control and a multiplier
     that is not its certificate, so every residual is nonzero."""
-    rng = np.random.default_rng(0)
-    f = rng.uniform(-1, 1, (3, 3)) - 1.5 * np.eye(3)
-    g = rng.uniform(-1, 1, (3, 1))
-    prob = Problem(F=f, G=g, a=0, b=6, A=rng.uniform(-1, 1, 3), B=np.zeros(3), U=Box([-1.0], [1.0]))
+    prob = d3_plant()
     u = PiecewiseConstantControl([0.0, 1.0, 2.5, 4.0, 6.0], [[0.0], [-1.0], [0.0], [1.0]])
     return prob, u, np.array([0.2, -0.5, 0.7])
 
@@ -299,19 +296,21 @@ class TestOnePass:
 
 
 class TestCheckConstancy:
+    """The constancy check is the spread of the sampled extremal."""
+
     def test_constant_profile(self):
-        assert check_constancy(np.full(100, 2.5)) == 0.0
+        assert HamiltonianProfile(np.full(100, 2.5), np.ones(100, dtype=bool)).spread() == 0.0
 
     def test_masked_spike_ignored(self):
         values = np.ones(50)
         values[10] = 7.0
         mask = np.ones(50, dtype=bool)
         mask[10] = False
-        assert check_constancy(values, mask) == 0.0
+        assert HamiltonianProfile(values, mask).spread() == 0.0
 
     def test_linear_drift_measured(self):
         values = np.linspace(0.0, 0.1, 11)
-        assert check_constancy(values) == pytest.approx(0.1)
+        assert HamiltonianProfile(values, np.ones(11, dtype=bool)).spread() == pytest.approx(0.1)
 
 
 class TestCertify:

@@ -161,6 +161,25 @@ class TestCertifyCommand:
         capsys.readouterr()
         assert code == 1
 
+    @pytest.mark.parametrize("eta, phat", [("1", "nan,1"), ("1", "0,-inf"), ("0", "inf,0")])
+    def test_phat_must_be_finite(self, capsys, ex2_file, ex2_run, eta, phat):
+        # A NaN multiplier used to exit 3 with NaN in the report, which is
+        # not JSON; an infinite one also warned of an invalid division.
+        control = ex2_run[2] / "ex2_l0_control.csv"
+        code = main(["certify", str(ex2_file), str(control), "--eta", eta, "--phat", phat])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == f"error: --phat components must be finite, got {phat}\n"
+
+    def test_non_numeric_control_cell(self, capsys, tmp_path, ex2_file):
+        # float() used to escape load_control with a traceback.
+        control = tmp_path / "bad.csv"
+        control.write_text("t_start,t_end,u_1\n0,2,0\n2,5,abc\n")
+        code = main(["certify", str(ex2_file), str(control), "--eta", "1", "--phat", "0,1"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("error: invalid problem or control file: row: segment row 2 ")
+
 
 class TestSingularityCommand:
     def test_benchmark_parameters_shorter_horizon(self, capsys):
@@ -422,6 +441,17 @@ class TestBallProblem:
         assert main([command, str(path)]) == 1
         err = capsys.readouterr().err
         assert err == f'error: {command} needs a box input set (U kind "box"); this problem\'s U is a ball\n'
+
+    def test_four_channel_ball_is_usage_error(self, capsys, tmp_path):
+        # A valid ball problem in 4 channels used to end in a traceback from
+        # the ball-direction fit; the message names its channel limit.
+        spec = {**self.SPEC, "G": [[1.0, 0.5, -0.5, 0.25]]}
+        path = tmp_path / "ball4.json"
+        path.write_text(json.dumps(spec))
+        assert main(["solve-l0", str(path), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "2 or 3" in err and "4 channels" in err
+        assert "invalid problem" not in err and not list(tmp_path.glob("*.csv"))
 
     def test_negative_phat_component_parses(self, capsys, ex2_file, ex2_run):
         _, _, out = ex2_run

@@ -17,11 +17,11 @@ from handsoff.linalg import (
     ExpKernel,
     SingularMatrixError,
     _square_up,
-    discretize_zoh,
     mat_exp,
     mat_exp_stack,
     solve_linear,
     sorted_unique,
+    zoh_block,
 )
 
 
@@ -127,9 +127,17 @@ class TestMatExp:
             assert np.abs(stacked[i] - want).max() < 1e-12
 
 
+def zoh_pair(f: np.ndarray, g: np.ndarray, dt) -> tuple[np.ndarray, np.ndarray]:
+    """(exp(F dt), int_0^dt exp(F s) ds G): the blocks of one exponential
+    of the ZOH block, read off as ``Problem.zoh_flow``'s callers do."""
+    e = mat_exp(zoh_block(f, g), dt)
+    d = f.shape[0]
+    return e[..., :d, :d], e[..., :d, d:]
+
+
 class TestDiscretizeZoh:
     def test_scalar_integrator(self):
-        a_d, b_d = discretize_zoh(np.zeros((1, 1)), np.ones((1, 1)), 0.37)
+        a_d, b_d = zoh_pair(np.zeros((1, 1)), np.ones((1, 1)), 0.37)
         assert np.isclose(a_d[0, 0], 1.0)
         assert np.isclose(b_d[0, 0], 0.37)
 
@@ -137,7 +145,7 @@ class TestDiscretizeZoh:
         f = np.array([[0.0, 1.0], [0.0, 0.0]])
         g = np.array([[0.0], [1.0]])
         dt = 0.8
-        a_d, b_d = discretize_zoh(f, g, dt)
+        a_d, b_d = zoh_pair(f, g, dt)
         assert np.abs(a_d - np.array([[1.0, dt], [0.0, 1.0]])).max() < 1e-15
         assert np.abs(b_d - np.array([[dt**2 / 2.0], [dt]])).max() < 1e-15
 
@@ -145,7 +153,7 @@ class TestDiscretizeZoh:
         rng = np.random.default_rng(23)
         f = rng.uniform(-1.0, 1.0, (2, 2)) - 1.5 * np.eye(2)
         g = rng.uniform(-1.0, 1.0, (2, 1))
-        a_d, b_d = discretize_zoh(f, g, 0.1)
+        a_d, b_d = zoh_pair(f, g, 0.1)
         assert np.abs(a_d - scipy.linalg.expm(f * 0.1)).max() < 1e-12
         assert np.abs(b_d - quad_zoh_oracle(f, g, 0.1)).max() < 1e-10
 
@@ -155,9 +163,9 @@ class TestDiscretizeZoh:
             f = rng.uniform(-1.0, 1.0, (2, 2))
             g = rng.uniform(-1.0, 1.0, (2, 1))
             dt1, dt2 = rng.uniform(0.05, 1.0, 2)
-            a1, b1 = discretize_zoh(f, g, dt1)
-            a2, b2 = discretize_zoh(f, g, dt2)
-            a12, b12 = discretize_zoh(f, g, dt1 + dt2)
+            a1, b1 = zoh_pair(f, g, dt1)
+            a2, b2 = zoh_pair(f, g, dt2)
+            a12, b12 = zoh_pair(f, g, dt1 + dt2)
             assert np.abs(a12 - a2 @ a1).max() < 1e-10
             assert np.abs(b12 - (a2 @ b1 + b2)).max() < 1e-10
 
@@ -165,20 +173,18 @@ class TestDiscretizeZoh:
         f = np.array([[0.0, 1.0], [-0.4, -0.3]])
         g = np.array([[0.2], [1.0]])
         dts = np.array([1e-4, 0.3, 2.0, 5.0])
-        a_s, b_s = discretize_zoh(f, g, dts)
+        a_s, b_s = zoh_pair(f, g, dts)
         assert a_s.shape == (4, 2, 2) and b_s.shape == (4, 2, 1)
         for i, dt in enumerate(dts):
-            a_d, b_d = discretize_zoh(f, g, float(dt))
+            a_d, b_d = zoh_pair(f, g, float(dt))
             assert np.array_equal(a_s[i], a_d)
             assert np.array_equal(b_s[i], b_d)
-        with pytest.raises(ValueError):
-            discretize_zoh(f, g, np.array([0.3, 0.0]))
 
     def test_rejects_bad_shapes(self):
         with pytest.raises(ValueError):
-            discretize_zoh(np.zeros((2, 2)), np.zeros((3, 1)), 0.1)
+            zoh_block(np.zeros((2, 2)), np.zeros((3, 1)))
         with pytest.raises(ValueError):
-            discretize_zoh(np.zeros((2, 2)), np.zeros((2, 1)), 0.0)
+            zoh_block(np.zeros((2, 3)), np.zeros((2, 1)))
 
 
 class TestSolveLinear:

@@ -6,6 +6,7 @@ import itertools
 import numpy as np
 import pytest
 
+from conftest import d3_plant
 from handsoff import lp
 from handsoff.lp import (
     _AT_LOWER,
@@ -78,13 +79,6 @@ def random_mixed_bound_lp(rng: np.random.Generator, n: int, rows: int) -> LpProb
     a = rng.uniform(-2.0, 2.0, (rows, n))
     x_feas = lower + rng.uniform(0.0, 0.5, n)
     return LpProblem(c=c, a_eq=a, b_eq=a @ x_feas, lower=lower, upper=upper)
-
-
-def roadmap_d3_plant() -> Problem:
-    rng = np.random.default_rng(0)
-    f = rng.uniform(-1, 1, (3, 3)) - 1.5 * np.eye(3)
-    g = rng.uniform(-1, 1, (3, 1))
-    return Problem(F=f, G=g, a=0, b=6, A=rng.uniform(-1, 1, 3), B=np.zeros(3), U=Box([-1.0], [1.0]))
 
 
 def feasibility_lp(prob: Problem, horizon: float, n_intervals: int, monkeypatch) -> LpProblem:
@@ -473,7 +467,7 @@ class TestDuals:
 
     def test_benchmark_duals(self, ex1, ex2):
         # The L1 optima of the benchmarks meet their dual values.
-        for prob in (ex1, ex2, roadmap_d3_plant()):
+        for prob in (ex1, ex2, d3_plant()):
             p = build_l1_lp(prob, 200)
             sol = simplex_solve(p)
             assert dual_objective(p, sol.duals) == pytest.approx(sol.objective, rel=1e-9)
@@ -481,7 +475,7 @@ class TestDuals:
     def test_warm_start_from_coarse_duals(self):
         # ROADMAP item 1's pin: the 200-interval duals start the 600-interval
         # L1 LP of the d=3 plant a few pivots from its optimum.
-        d3 = roadmap_d3_plant()
+        d3 = d3_plant()
         coarse = simplex_solve(build_l1_lp(d3, 200))
         cold = simplex_solve(build_l1_lp(d3, 600))
         warm = simplex_solve(build_l1_lp(d3, 600), start_duals=coarse.duals)
@@ -612,7 +606,7 @@ class TestBasisKeptAcrossFlips:
         # Under Bland pricing ex2 and the d=3 plant take 14,539 and 16,557
         # pivots at the Dantzig grids, so they run on 200 intervals there.
         monkeypatch.setitem(globals(), "_BLAND_AFTER", lp._BLAND_AFTER)
-        ex1, ex2, d3 = example_1(), example_2(), roadmap_d3_plant()
+        ex1, ex2, d3 = example_1(), example_2(), d3_plant()
         short = Problem(F=ex1.F, G=ex1.G, a=ex1.a, b=ex1.a + 2.999, A=ex1.A, B=ex1.B, U=ex1.U)
         dantzig = pricing == "dantzig"
         cases = [

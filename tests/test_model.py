@@ -236,9 +236,9 @@ class TestControlContainer:
 
     def test_right_open_sampling(self, ex2_control):
         theta1 = 11.0 / 6.0
-        assert ex2_control.value_at(theta1)[0] == 1.0  # right limit at the switch
-        assert ex2_control.value_at(theta1 - 1e-9)[0] == 0.0
-        assert ex2_control.value_at(5.0)[0] == 0.0  # final instant takes last segment
+        assert ex2_control.sample(theta1)[0] == 1.0  # right limit at the switch
+        assert ex2_control.sample(theta1 - 1e-9)[0] == 0.0
+        assert ex2_control.sample(5.0)[0] == 0.0  # final instant takes last segment
 
     def test_validate_against_problem(self, ex2, ex2_control):
         ex2.validate_control(ex2_control)

@@ -96,7 +96,7 @@ class TestPropagateExact:
         z = prob.A.copy()
         for i in range(1, traj.grid.size):
             e = scipy.linalg.expm(aug * (traj.grid[i] - traj.grid[i - 1]))
-            z = e[:3, :3] @ z + e[:3, 3:] @ u.value_at(traj.grid[i - 1])
+            z = e[:3, :3] @ z + e[:3, 3:] @ u.sample(traj.grid[i - 1])
             assert np.abs(traj.states[i] - z).max() < 1e-11
 
     def test_dimension_mismatch_rejected(self, ex2):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import brentq
 
-from conftest import random_problem
+from conftest import d3_plant, random_problem
 from handsoff import lp
 from handsoff.linalg import ExpKernel
 from handsoff.lp import linf_feasibility
@@ -118,21 +118,6 @@ def cold_min_time(prob: Problem, tol: float, n_intervals: int) -> float:
         else:
             lo = mid
     return hi
-
-
-def d3_plant(seed: int = 0) -> Problem:
-    """The ROADMAP d=3 plant; another seed perturbs every entry of F, G
-    and A by at most 0.01, like the benchmark's sparse_d3 family."""
-    rng = np.random.default_rng(0)
-    f = rng.uniform(-1, 1, (3, 3)) - 1.5 * np.eye(3)
-    g = rng.uniform(-1, 1, (3, 1))
-    a = rng.uniform(-1, 1, 3)
-    if seed:
-        spread = np.random.default_rng([seed, 3])
-        f = f + spread.uniform(-0.01, 0.01, f.shape)
-        g = g + spread.uniform(-0.01, 0.01, g.shape)
-        a = a + spread.uniform(-0.01, 0.01, a.shape)
-    return Problem(F=f, G=g, a=0, b=6, A=a, B=np.zeros(3), U=UNIT_BOX)
 
 
 @pytest.fixture(scope="module")
@@ -472,6 +457,19 @@ class TestSynthL0:
         traj = propagate_exact(prob, result.control)
         assert endpoint_residual(traj, prob.B) <= 1e-6
 
+    def test_four_channel_ball_refused_up_front(self, monkeypatch):
+        # Free ball directions exist for 2 or 3 channels; a 4-channel ball
+        # used to reach the fit and fail there.
+        from handsoff import synth
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("the sweep started")
+
+        monkeypatch.setattr(synth, "_fit_run", no_fit)
+        prob = Problem(F=-np.eye(2), G=np.ones((2, 4)), a=0.0, b=2.0, A=np.ones(2), B=np.zeros(2), U=Ball(1.0))
+        with pytest.raises(synth.UnsupportedProblemError, match=r"2 or 3\); this problem's U is a ball in 4"):
+            synth_l0(prob)
+
     def test_roadmap_d3_plant(self, d3_synth):
         # 0.901608 bounds the support of the Nelder-Mead duration search
         # (0.9016076492); the winning structure's exact support is
@@ -621,6 +619,24 @@ class TestRecoverAdjoint:
         assert np.abs(ap.p_hat - np.array([1.0, -1.0]) / np.sqrt(2.0)).max() <= 1e-12
         report = certify(prob, ap.eta, ap.p_hat, u)
         assert report.passed and not report.locally_optimal
+
+    @pytest.mark.parametrize("off", [0.0, 1e-12, -1e-12, 1e-10])
+    def test_transformed_plant_off_roundoff(self, ex2, off):
+        # ex2 in the coordinates T z: the multiplier is T^-T (0, 1). Off
+        # segments carrying roundoff within ZERO_TOL, as L1 solutions and
+        # CSV round trips leave, still give the crossing equations; they
+        # used to lose them and fall through to the screen, which misses.
+        from handsoff.certificate import certify
+
+        t = np.array([[1.0, 0.7], [-0.4, 1.3]])
+        prob = Problem(F=t @ ex2.F @ np.linalg.inv(t), G=t @ ex2.G, a=ex2.a, b=ex2.b, A=t @ ex2.A, B=t @ ex2.B,
+                       U=ex2.U)
+        u = PiecewiseConstantControl([0.0, 11.0 / 6.0, 29.0 / 6.0, 5.0], [[off], [1.0], [off]])
+        p_true = np.linalg.solve(t.T, [0.0, 1.0])
+        assert certify(prob, 1, p_true, u).passed
+        ap = recover_adjoint(prob, u)
+        assert ap is not None and ap.eta == 1
+        assert np.abs(ap.p_hat - p_true).max() <= 1e-9
 
     def test_recovered_multiplier_certifies(self, ex1, ex2, ex1_control, ex2_control):
         from handsoff.certificate import certify
