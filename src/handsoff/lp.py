@@ -20,7 +20,9 @@ basis changes, and so does one pricing pass: the eligible variables and
 their |reduced cost| are found once per basis, and since a flip keeps the
 reduced costs and only makes the flipped variable ineligible, the next
 entering variable comes from the same candidates with the flipped one's
-gain zeroed (the bounded-variable bookkeeping of Maros 2003). An optimal
+gain zeroed (the bounded-variable bookkeeping of Maros 2003). The nonbasic
+values and a +1/-1/0 pricing direction per variable are kept too, a pivot
+changing one or two entries; pivot paths and bits are unchanged. An optimal
 solution returns the duals of its final basis, y = c_B^T B^-1, which the
 last factorization already gives. Those duals can start another LP with
 the same rows: each variable begins at the bound its reduced cost under
@@ -135,7 +137,8 @@ def simplex_solve(
     them exceeds the optimality tolerance in magnitude starts at the
     finite bound that reduced cost favours, every other one where the
     cold start puts it. Both phases then run as usual, so the start
-    changes the pivot path, not the optimum.
+    changes the pivot path, not the optimum. Raises ``ValueError`` unless
+    ``start_duals`` has shape ``(rows,)`` and finite entries.
     """
     n, rows = problem.n, problem.rows
     lo = np.concatenate([problem.lower, np.zeros(rows)])
@@ -145,8 +148,11 @@ def simplex_solve(
     finite_lo, finite_hi = np.isfinite(problem.lower), np.isfinite(problem.upper)
     from_upper = ~finite_lo & finite_hi
     if start_duals is not None:
+        start_duals = np.asarray(start_duals, dtype=float)
+        if start_duals.shape != (rows,) or not np.isfinite(start_duals).all():
+            raise ValueError(f"start_duals needs shape ({rows},) and finite entries, got shape {start_duals.shape}")
         # Each variable moves to the finite bound its reduced cost favours.
-        reduced = problem.c - problem.a_eq.T @ np.asarray(start_duals, dtype=float)
+        reduced = problem.c - problem.a_eq.T @ start_duals
         from_upper &= ~((reduced > _DTOL) & finite_lo)
         from_upper |= (reduced < -_DTOL) & finite_hi
     x = np.zeros(n + rows)
@@ -190,11 +196,17 @@ def _simplex_core(a_full, b_eq, cost, lo, hi, basis, stat, x, budget) -> tuple[i
     movable = hi - lo > 0.0  # pinned variables never re-enter
     nonbasic = np.ones(a_full.shape[1], dtype=bool)
     nonbasic[basis] = False
+    # +1 at a movable lower bound, -1 at a movable upper bound, else 0 (free
+    # variables are priced apart): eligible at direction * reduced < -_DTOL.
+    direction = np.where(nonbasic & movable, np.select([stat == _AT_LOWER, stat == _AT_UPPER], [1.0, -1.0]), 0.0)
+    free = (stat == _FREE).nonzero()[0]
     iterations = 0
     degenerate_run = 0
     refactor = True
     while True:
         if iterations >= budget:
+            if not refactor:  # the last pivot flipped: its x_B is not in x yet
+                x[basis] = x_basic
             return iterations, LpStatus.ITERATION_LIMIT, None
         iterations += 1
 
@@ -202,41 +214,37 @@ def _simplex_core(a_full, b_eq, cost, lo, hi, basis, stat, x, budget) -> tuple[i
             # One factorization per basis serves x_B, the duals, the entering
             # columns and the pricing candidates; a bound flip keeps all of it.
             refactor = False
-            nonbasic_idx = np.flatnonzero(nonbasic)
+            nonbasic_idx = nonbasic.nonzero()[0]
             a_nonbasic = columns.take(nonbasic_idx, axis=0).T
+            x_nonbasic = x.take(nonbasic_idx)  # patched in place by each flip
             b_inv = solve_linear(a_full[:, basis], identity)
             y = b_inv.T @ cost[np.asarray(basis)]
             reduced = cost - a_full.T @ y
-            eligible = nonbasic & (
-                ((stat == _FREE) & (np.abs(reduced) > _DTOL))
-                | (movable & (stat == _AT_LOWER) & (reduced < -_DTOL))
-                | (movable & (stat == _AT_UPPER) & (reduced > _DTOL))
-            )
+            eligible = direction * reduced < -_DTOL
+            if free.size:
+                eligible[free] = nonbasic[free] & (np.abs(reduced[free]) > _DTOL)
             # A flip keeps the reduced costs and only makes the flipped
             # variable ineligible, so it zeroes that candidate's gain.
-            candidates = np.flatnonzero(eligible)
+            candidates = eligible.nonzero()[0]
             gains = np.abs(reduced[candidates])
             live = candidates.size
             lo_basic, hi_basic = lo[basis].tolist(), hi[basis].tolist()
-        rhs = b_eq - a_nonbasic @ x[nonbasic_idx]
+        rhs = b_eq - a_nonbasic @ x_nonbasic
         x_basic = b_inv @ rhs
-        x[basis] = x_basic
 
         if live == 0:
+            x[basis] = x_basic
             return iterations, LpStatus.OPTIMAL, y
         if degenerate_run >= _BLAND_AFTER:
-            pick = int(np.argmax(gains > 0.0))  # Bland: smallest eligible index
+            pick = int((gains > 0.0).argmax())  # Bland: smallest eligible index
         else:
             # Dantzig: largest |reduced cost|, ties to the smallest index.
-            pick = int(np.argmax(gains))
+            pick = int(gains.argmax())
         entering = int(candidates[pick])
 
-        if stat[entering] == _FREE:
-            sigma = 1.0 if reduced[entering] < 0 else -1.0
-        else:
-            sigma = 1.0 if stat[entering] == _AT_LOWER else -1.0
+        sigma = float(direction[entering]) or (1.0 if reduced[entering] < 0 else -1.0)  # free: downhill
 
-        w = b_inv @ a_full[:, entering]
+        w = b_inv @ columns[entering]
         delta = (-sigma * w).tolist()  # per-unit motion of the basic values
 
         # Candidate steps: every blocked basic variable, plus the entering
@@ -257,7 +265,7 @@ def _simplex_core(a_full, b_eq, cost, lo, hi, basis, stat, x, budget) -> tuple[i
             if t < best_t - 1e-12 or (t <= best_t + 1e-12 and (best_index < 0 or var < best_index)):
                 best_t, best_index, best_pos = t, var, pos
 
-        flip_t = float(hi[entering] - lo[entering]) if stat[entering] != _FREE else math.inf
+        flip_t = float(hi[entering] - lo[entering])  # inf unless both bounds are finite
         if math.isfinite(flip_t) and (
             flip_t < best_t - 1e-12
             or (flip_t <= best_t + 1e-12 and (best_index < 0 or entering < best_index))
@@ -265,6 +273,7 @@ def _simplex_core(a_full, b_eq, cost, lo, hi, basis, stat, x, budget) -> tuple[i
             best_t, best_index, best_pos = flip_t, entering, -1
 
         if not math.isfinite(best_t):
+            x[basis] = x_basic
             return iterations, LpStatus.UNBOUNDED, None
 
         if best_pos < 0:
@@ -273,14 +282,19 @@ def _simplex_core(a_full, b_eq, cost, lo, hi, basis, stat, x, budget) -> tuple[i
             gains[pick] = 0.0
             live -= 1
             stat[entering] = _AT_UPPER if stat[entering] == _AT_LOWER else _AT_LOWER
+            direction[entering] = -direction[entering]
             x[entering] = hi[entering] if stat[entering] == _AT_UPPER else lo[entering]
+            x_nonbasic[nonbasic_idx.searchsorted(entering)] = x[entering]
             continue
 
         degenerate_run = degenerate_run + 1 if best_t <= _DEGENERATE_STEP else 0
         leaving = basis[best_pos]
+        x[basis] = x_basic
         x[entering] = x[entering] + sigma * best_t
         x[leaving] = hi[leaving] if delta[best_pos] > 0 else lo[leaving]
         stat[leaving] = _AT_UPPER if delta[best_pos] > 0 else _AT_LOWER
+        direction[entering] = 0.0
+        direction[leaving] = (-1.0 if delta[best_pos] > 0 else 1.0) if movable[leaving] else 0.0
         basis[best_pos] = entering
         nonbasic[entering], nonbasic[leaving] = False, True
         refactor = True

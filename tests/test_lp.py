@@ -26,6 +26,7 @@ from handsoff.lp import (
 from handsoff.model import Ball, Box, PiecewiseConstantControl, Problem, l0_cost
 from handsoff.problems import example_1, example_2
 from handsoff.sim import endpoint_residual, propagate_exact
+from handsoff.synth import min_time
 
 
 def vertex_enumeration_oracle(p: LpProblem) -> float:
@@ -497,6 +498,12 @@ class TestDuals:
             if cold.status is LpStatus.OPTIMAL:
                 assert warm.objective == pytest.approx(cold.objective, rel=1e-9, abs=1e-9)
 
+    @pytest.mark.parametrize("duals", [np.zeros(3), np.zeros((2, 1)), [0.0, np.nan], [np.inf, 0.0]])
+    def test_start_duals_checked(self, duals):
+        p = random_bounded_lp(np.random.default_rng(5), 6, 2)
+        with pytest.raises(ValueError, match=r"shape \(2,\) and finite entries"):
+            simplex_solve(p, start_duals=duals)
+
 
 def test_solution_bounds_clipped(ex2):
     lp_prob = build_l1_lp(ex2, 100)
@@ -629,6 +636,30 @@ class TestBasisKeptAcrossFlips:
             assert pivots is None or got.iterations == pivots
             outcomes.add(got.status)
         assert outcomes == {LpStatus.OPTIMAL, LpStatus.INFEASIBLE, LpStatus.UNBOUNDED}
+
+    def test_warm_starts_match_per_pivot_reference(self, monkeypatch):
+        # On the L1 LPs a warm start is the one path on which variables begin
+        # at their upper bounds: min_time's chained gauge LPs on the d=3
+        # plant, then the reference suite started from random duals.
+        solved = []  # (warm-started, pivots)
+
+        def both(problem, **kwargs):
+            got = simplex_solve(problem, **kwargs)
+            with monkeypatch.context() as m:
+                m.setattr(lp, "_simplex_core", _per_pivot_simplex_core)
+                want = simplex_solve(problem, **kwargs)
+            assert_same_solution(got, want)
+            solved.append((kwargs.get("start_duals") is not None, got.iterations))
+            return got
+
+        with monkeypatch.context() as m:
+            m.setattr(lp, "simplex_solve", both)
+            assert min_time(d3_plant()) == 2.40087890625
+        assert sum(warm for warm, _ in solved) == 13 and sum(n for _, n in solved) == 280
+        rng, starts = np.random.default_rng(1103), np.random.default_rng(1109)
+        for _ in range(200):
+            p = random_reference_lp(rng)
+            both(p, start_duals=starts.normal(0.0, 1.0, p.rows))
 
     def test_iteration_limit_matches_reference(self, monkeypatch):
         problem = build_l1_lp(example_2(), 200)
