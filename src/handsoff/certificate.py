@@ -16,7 +16,7 @@ its trajectory. The checker verifies every first-order condition:
 * constancy of the Hamiltonian off breakpoints;
 * the endpoint condition.
 
-One pass serves every check: :func:`handsoff.sim._sample_extremal`
+One pass serves every check: :func:`handsoff.sim.hamiltonian_profile`
 evaluates the costates (analytic for LTI plants, one backward RK4 pass
 with its Jacobians for callback dynamics), the Hamiltonian and the
 off-breakpoint mask along the trajectory once, and the checks compare
@@ -65,9 +65,9 @@ from .model import ZERO_TOL, Box, PiecewiseConstantControl, Problem, Trajectory,
 from .sim import (
     HamiltonianProfile,
     NonlinearDynamics,
-    _sample_extremal,
     breakpoint_mask,
     endpoint_residual,
+    hamiltonian_profile,
     propagate_exact,
     propagate_rk4,
     trajectory_grid,
@@ -139,7 +139,7 @@ def check_adjoint(
         return float(np.abs(defect).max())
     if traj is None:
         raise ValueError("nonlinear adjoint check requires the trajectory")
-    return _adjoint_defect(traj, _sample_extremal(prob, ap, traj, None, dynamics))
+    return _adjoint_defect(traj, hamiltonian_profile(prob, ap, traj, None, dynamics))
 
 
 def _adjoint_defect(traj: Trajectory, ex: HamiltonianProfile) -> float:
@@ -167,7 +167,7 @@ def check_hamiltonian_max(
     and inputs. For general dynamics the supremum is taken over an input
     grid of _HMAX_INPUTS points.
     """
-    return _hmax_shortfall(prob, ap, traj, _sample_extremal(prob, ap, traj, u, dynamics), dynamics)
+    return _hmax_shortfall(prob, ap, traj, hamiltonian_profile(prob, ap, traj, u, dynamics), dynamics)
 
 
 def _hmax_shortfall(
@@ -243,7 +243,7 @@ def _certify_trajectory(
     else:
         ap = AdjointParams(eta, p_hat)
         p_hat = ap.p_hat
-        ex = _sample_extremal(prob, ap, traj, control, dynamics)
+        ex = hamiltonian_profile(prob, ap, traj, control, dynamics)
         adjoint_res = check_adjoint(prob, ap) if dynamics is None else _adjoint_defect(traj, ex)
         hmax = _hmax_shortfall(prob, ap, traj, ex, dynamics)
         constancy = ex.spread()

@@ -140,12 +140,17 @@ def _check_ranges(args) -> None:
     kmax = getattr(args, "kmax", None)
     if kmax is not None and not 1 <= kmax <= 31:
         raise _UsageError(f"--kmax must be in [1, 31], got {kmax}")
-    # A residual tolerance must admit something; --zero-tol 0 counts only
-    # exact zeros as off.
-    for name, kind in (("tol", "positive"), ("feas_tol", "positive"), ("zero_tol", "nonnegative")):
-        value = getattr(args, name, None)
+    if getattr(args, "seed", 0) < 0:
+        raise _UsageError(f"--seed must be nonnegative, got {args.seed}")
+    # A residual tolerance (and the singularity horizon) must admit
+    # something; --zero-tol 0 counts only exact zeros as off.
+    for name in ("tol", "feas_tol", "zero_tol", "horizon"):
+        value, kind = getattr(args, name, None), "nonnegative" if name == "zero_tol" else "positive"
         if value is not None and not (np.isfinite(value) and (value > 0 or (kind == "nonnegative" and value == 0))):
             raise _UsageError(f"--{name.replace('_', '-')} must be finite and {kind}, got {value}")
+    for name in ("xi1", "xi2"):
+        if not np.isfinite(getattr(args, name, 0.0)):
+            raise _UsageError(f"--{name} must be finite, got {getattr(args, name)}")
 
 
 def _parse_vector(text: str) -> np.ndarray:

@@ -20,13 +20,14 @@ basis changes, and so does one pricing pass: the eligible variables and
 their |reduced cost| are found once per basis, and since a flip keeps the
 reduced costs and only makes the flipped variable ineligible, the next
 entering variable comes from the same candidates with the flipped one's
-gain zeroed (the bounded-variable bookkeeping of Maros 2003). The nonbasic
-values and a +1/-1/0 pricing direction per variable are kept too, a pivot
-changing one or two entries; pivot paths and bits are unchanged. An optimal
-solution returns the duals of its final basis, y = c_B^T B^-1, which the
-last factorization already gives. Those duals can start another LP with
-the same rows: each variable begins at the bound its reduced cost under
-them favours, which puts a nearby LP a few pivots from its optimum (how
+gain zeroed (the bounded-variable bookkeeping of Maros 2003). A nonbasic
+variable's bound is read from its value, giving a +1/-1/0 pricing direction
+that a pivot changes in one or two entries, as it does the kept nonbasic
+values; pivot paths and bits are unchanged. An optimal solution returns
+the duals of its final basis, y = c_B^T B^-1, which the last
+factorization already gives. Those duals can start another LP with the
+same rows: each variable begins at the bound its reduced cost under them
+favours, which puts a nearby LP a few pivots from its optimum (how
 :func:`handsoff.synth.min_time` warm-starts its bisection). Everything is
 deterministic, which is what reproducible experiments need.
 
@@ -115,7 +116,6 @@ class LpSolution:
     duals: np.ndarray | None = None
 
 
-_AT_LOWER, _AT_UPPER, _FREE = 0, 1, 2
 _DTOL = 1e-9  # reduced-cost optimality tolerance
 _PTOL = 1e-11  # pivot-direction tolerance in the ratio test
 _DEGENERATE_STEP = 1e-12  # a basis change moving no further is degenerate
@@ -157,9 +157,6 @@ def simplex_solve(
         from_upper |= (reduced < -_DTOL) & finite_hi
     x = np.zeros(n + rows)
     x[:n] = np.where(from_upper, problem.upper, np.where(finite_lo, problem.lower, 0.0))
-    stat = np.full(n + rows, _AT_LOWER, dtype=int)
-    stat[:n][from_upper] = _AT_UPPER
-    stat[:n][~finite_lo & ~finite_hi] = _FREE
 
     residual = problem.b_eq - problem.a_eq @ x[:n]
     signs = np.where(residual >= 0.0, 1.0, -1.0)
@@ -168,7 +165,7 @@ def simplex_solve(
     x[n:] = np.abs(residual)
 
     phase1_cost = np.concatenate([np.zeros(n), np.ones(rows)])
-    iterations, status, _ = _simplex_core(a_full, problem.b_eq, phase1_cost, lo, hi, basis, stat, x, max_iterations)
+    iterations, status, _ = _simplex_core(a_full, problem.b_eq, phase1_cost, lo, hi, basis, x, max_iterations)
     if status is not LpStatus.OPTIMAL:
         return LpSolution(x[:n].copy(), float("nan"), status, iterations)
     if float(phase1_cost @ x) > 1e-8 * (1.0 + float(np.abs(problem.b_eq).max(initial=0.0))):
@@ -180,7 +177,7 @@ def simplex_solve(
     x[n:] = np.where(np.isin(np.arange(n, n + rows), basis), x[n:], 0.0)
     phase2_cost = np.concatenate([problem.c, np.zeros(rows)])
     more, status, duals = _simplex_core(
-        a_full, problem.b_eq, phase2_cost, lo, hi, basis, stat, x, max_iterations - iterations
+        a_full, problem.b_eq, phase2_cost, lo, hi, basis, x, max_iterations - iterations
     )
     iterations += more
     x_struct = np.clip(x[:n], problem.lower, problem.upper)
@@ -188,7 +185,7 @@ def simplex_solve(
     return LpSolution(x_struct, objective, status, iterations, duals)
 
 
-def _simplex_core(a_full, b_eq, cost, lo, hi, basis, stat, x, budget) -> tuple[int, LpStatus, np.ndarray | None]:
+def _simplex_core(a_full, b_eq, cost, lo, hi, basis, x, budget) -> tuple[int, LpStatus, np.ndarray | None]:
     """Run simplex pivots in place; returns (iterations, status, duals), the
     duals y of the final basis when the status is OPTIMAL, else None."""
     identity = np.eye(a_full.shape[0])
@@ -196,10 +193,12 @@ def _simplex_core(a_full, b_eq, cost, lo, hi, basis, stat, x, budget) -> tuple[i
     movable = hi - lo > 0.0  # pinned variables never re-enter
     nonbasic = np.ones(a_full.shape[1], dtype=bool)
     nonbasic[basis] = False
-    # +1 at a movable lower bound, -1 at a movable upper bound, else 0 (free
-    # variables are priced apart): eligible at direction * reduced < -_DTOL.
-    direction = np.where(nonbasic & movable, np.select([stat == _AT_LOWER, stat == _AT_UPPER], [1.0, -1.0]), 0.0)
-    free = (stat == _FREE).nonzero()[0]
+    # A nonbasic variable sits at a bound (a free one at 0), so x gives its
+    # direction: +1 at a movable lower bound, -1 at a movable upper bound,
+    # else 0 (free ones are priced apart); eligible at direction * reduced < -_DTOL.
+    free = (~np.isfinite(lo) & ~np.isfinite(hi)).nonzero()[0]
+    direction = np.where(nonbasic & movable, np.where(x == hi, -1.0, 1.0), 0.0)
+    direction[free] = 0.0
     iterations = 0
     degenerate_run = 0
     refactor = True
@@ -281,9 +280,8 @@ def _simplex_core(a_full, b_eq, cost, lo, hi, basis, stat, x, budget) -> tuple[i
             degenerate_run = 0
             gains[pick] = 0.0
             live -= 1
-            stat[entering] = _AT_UPPER if stat[entering] == _AT_LOWER else _AT_LOWER
             direction[entering] = -direction[entering]
-            x[entering] = hi[entering] if stat[entering] == _AT_UPPER else lo[entering]
+            x[entering] = hi[entering] if direction[entering] < 0 else lo[entering]
             x_nonbasic[nonbasic_idx.searchsorted(entering)] = x[entering]
             continue
 
@@ -292,7 +290,6 @@ def _simplex_core(a_full, b_eq, cost, lo, hi, basis, stat, x, budget) -> tuple[i
         x[basis] = x_basic
         x[entering] = x[entering] + sigma * best_t
         x[leaving] = hi[leaving] if delta[best_pos] > 0 else lo[leaving]
-        stat[leaving] = _AT_UPPER if delta[best_pos] > 0 else _AT_LOWER
         direction[entering] = 0.0
         direction[leaving] = (-1.0 if delta[best_pos] > 0 else 1.0) if movable[leaving] else 0.0
         basis[best_pos] = entering

@@ -9,9 +9,9 @@ is aligned with the control breakpoints (a segment never straddles a
 control discontinuity). Fixed-step keeps regression numbers reproducible;
 these problems are desk-scale, so speed is not a concern.
 
-:func:`_sample_extremal` evaluates a candidate extremal along its
-trajectory once, into one record (:class:`HamiltonianProfile`); profiles,
-trajectory CSVs and certificates read it.
+:func:`hamiltonian_profile` evaluates a candidate extremal along its
+trajectory once, into one record (:class:`HamiltonianProfile`); trajectory
+CSVs and certificates read it.
 """
 
 from __future__ import annotations
@@ -201,19 +201,19 @@ def breakpoint_mask(grid: np.ndarray, u: PiecewiseConstantControl) -> np.ndarray
     return dist > BREAKPOINT_WINDOW * (u.b - u.a)
 
 
-def _sample_extremal(
+def hamiltonian_profile(
     prob: Problem,
     ap: AdjointParams,
     traj: Trajectory,
     u: PiecewiseConstantControl | None,
     dynamics: NonlinearDynamics | None = None,
 ) -> HamiltonianProfile:
-    """Costates and Hamiltonian of (ap, traj) with the off-breakpoint mask.
-
-    LTI plants use the analytic costate on the trajectory grid; callback
+    """Costates and Hamiltonian of the extremal candidate (ap, traj) on the
+    trajectory grid, with the off-breakpoint mask (without a control every
+    sample is kept); along a genuine extremal the values are constant off
+    switching instants. LTI plants use the analytic costate; callback
     dynamics use one backward RK4 pass, which also yields the Jacobians
-    the adjoint defect needs. Without a control every sample is kept.
-    """
+    the adjoint defect needs."""
     keep = np.ones(traj.grid.size, dtype=bool) if u is None else breakpoint_mask(traj.grid, u)
     if dynamics is None:
         costates, jacobians, velocities = adjoint_on_grid(prob, ap, traj.grid), None, None
@@ -254,20 +254,6 @@ def _backward_adjoint(
     return costates, jacobians
 
 
-def hamiltonian_profile(
-    prob: Problem,
-    ap: AdjointParams,
-    traj: Trajectory,
-    u: PiecewiseConstantControl,
-) -> HamiltonianProfile:
-    """Hamiltonian of the extremal candidate sampled on the trajectory grid.
-
-    Uses the analytic LTI costate. Along a genuine extremal the profile is
-    constant off switching instants.
-    """
-    return _sample_extremal(prob, ap, traj, u)
-
-
 def save_trajectory(
     traj: Trajectory,
     path: str | Path,
@@ -283,7 +269,7 @@ def save_trajectory(
     if ap is not None:
         if prob is None:
             raise ValueError("writing switching columns requires the problem")
-        ex = _sample_extremal(prob, ap, traj, None)
+        ex = hamiltonian_profile(prob, ap, traj, None)
         header += [f"s_{i + 1}" for i in range(m)] + ["H"]
         columns += [ex.costates @ prob.G, ex.values[:, None]]
     table = np.column_stack([np.atleast_2d(c.T).T if c.ndim == 1 else c for c in columns])

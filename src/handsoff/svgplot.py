@@ -19,10 +19,7 @@ _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 70, 24, 34, 44
 
 
 def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
-    if hi <= lo:
-        hi = lo + 1.0
-    raw = np.linspace(lo, hi, n)
-    return [float(v) for v in raw]
+    return np.linspace(lo, lo + 1.0 if hi <= lo else hi, n).tolist()
 
 
 def _fmt(v: float) -> str:
@@ -43,25 +40,20 @@ class Panel:
         self.curves: list[tuple[np.ndarray, np.ndarray, str, str]] = []
 
     def add(self, x, y, label: str = "", dashed: bool = False) -> "Panel":
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        self.curves.append((x, y, label, "6,5" if dashed else ""))
+        self.curves.append((np.asarray(x, dtype=float), np.asarray(y, dtype=float), label, "6,5" if dashed else ""))
         return self
 
 
 def step_points(breakpoints, values) -> tuple[np.ndarray, np.ndarray]:
-    """Expand a piecewise-constant signal into corner points for plotting."""
-    breakpoints = np.asarray(breakpoints, dtype=float)
-    values = np.asarray(values, dtype=float).ravel()
-    xs, ys = [], []
-    for k, v in enumerate(values):
-        xs += [breakpoints[k], breakpoints[k + 1]]
-        ys += [v, v]
-    return np.asarray(xs), np.asarray(ys)
+    """Expand a piecewise-constant signal (n + 1 breakpoints, n values) into
+    corner points for plotting: each segment's start and end at its value."""
+    xs = np.repeat(np.asarray(breakpoints, dtype=float), 2)[1:-1]
+    return xs, np.repeat(np.asarray(values, dtype=float), 2)
 
 
 def render(panels: list[Panel], path: str | Path) -> None:
-    """Write the panels stacked vertically into one SVG file."""
+    """Write the panels stacked vertically into one SVG file; points with a
+    non-finite coordinate are dropped."""
     width = _PANEL_W
     height = _PANEL_H * len(panels)
     parts = [
@@ -74,12 +66,10 @@ def render(panels: list[Panel], path: str | Path) -> None:
         x0, x1 = _MARGIN_L, _PANEL_W - _MARGIN_R
         y0, y1 = top + _MARGIN_T, top + _PANEL_H - _MARGIN_B
 
-        finite = [
-            (x[np.isfinite(x) & np.isfinite(y)], y[np.isfinite(x) & np.isfinite(y)])
-            for x, y, _, _ in panel.curves
-        ]
-        xs = np.concatenate([f[0] for f in finite]) if finite else np.array([0.0, 1.0])
-        ys = np.concatenate([f[1] for f in finite]) if finite else np.array([0.0, 1.0])
+        finite = [np.isfinite(x) & np.isfinite(y) for x, y, _, _ in panel.curves]
+        curves = [(x[ok], y[ok], label, dash) for (x, y, label, dash), ok in zip(panel.curves, finite)]
+        xs = np.concatenate([c[0] for c in curves]) if curves else np.array([0.0, 1.0])
+        ys = np.concatenate([c[1] for c in curves]) if curves else np.array([0.0, 1.0])
         x_lo, x_hi = float(xs.min()), float(xs.max())
         y_lo, y_hi = float(ys.min()), float(ys.max())
         if np.isclose(y_lo, y_hi):
@@ -123,10 +113,9 @@ def render(panels: list[Panel], path: str | Path) -> None:
             )
 
         legend_y = y0 + 14
-        for ci, (cx, cy, label, dash) in enumerate(panel.curves):
+        for ci, (cx, cy, label, dash) in enumerate(curves):
             color = _COLORS[ci % len(_COLORS)]
-            ok = np.isfinite(cx) & np.isfinite(cy)
-            pts = " ".join(f"{sx(px):.2f},{sy(py):.2f}" for px, py in zip(cx[ok], cy[ok]))
+            pts = " ".join(f"{sx(px):.2f},{sy(py):.2f}" for px, py in zip(cx, cy))
             dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
             parts.append(
                 f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.6"{dash_attr}/>'

@@ -205,6 +205,28 @@ class TestSingularityCommand:
         assert kv["singular"] == "false"
 
 
+    # Non-finite conditions used to print all-false, and a negative horizon
+    # singular=true.
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("xi1", "nan", "--xi1 must be finite"),
+            ("xi1", "-inf", "--xi1 must be finite"),
+            ("xi2", "nan", "--xi2 must be finite"),
+            ("xi2", "inf", "--xi2 must be finite"),
+            ("horizon", "-5", "--horizon must be finite and positive"),
+            ("horizon", "0", "--horizon must be finite and positive"),
+            ("horizon", "nan", "--horizon must be finite and positive"),
+            ("horizon", "inf", "--horizon must be finite and positive"),
+        ],
+    )
+    def test_bad_input_is_usage_error(self, capsys, flag, value, message):
+        args = {"xi1": "10", "xi2": "-3", "horizon": "4.8", flag: value}
+        assert main(["singularity"] + [f"--{k}={v}" for k, v in args.items()]) == 1
+        captured = capsys.readouterr()
+        assert message in captured.err and captured.out == ""
+
+
 class TestExampleCommand:
     def test_ex2_end_to_end(self, ex2_run):
         code, kv, out = ex2_run
@@ -410,6 +432,18 @@ class TestToleranceRanges:
         code, kv = _run(capsys, ["solve-l1", str(ex1_file), "--zero-tol", "0", "--out", str(tmp_path)])
         assert code == 0
         assert float(kv["support"]) == pytest.approx(3.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("command", ["solve-l0", "example"])
+def test_negative_seed_is_usage_error(capsys, tmp_path, ex1_file, command):
+    # numpy's generator used to reject it with a traceback, after `example`
+    # had written its problem file.
+    out = tmp_path / "out"
+    target = str(ex1_file) if command == "solve-l0" else "ex1"
+    assert main([command, target, "--seed", "-1", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "error: --seed must be nonnegative, got -1" in err and "Traceback" not in err
+    assert not out.exists() or not any(out.iterdir())
 
 
 class TestBallProblem:

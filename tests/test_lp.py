@@ -9,11 +9,8 @@ import pytest
 from conftest import d3_plant
 from handsoff import lp
 from handsoff.lp import (
-    _AT_LOWER,
-    _AT_UPPER,
     _DEGENERATE_STEP,
     _DTOL,
-    _FREE,
     _PTOL,
     LpProblem,
     LpStatus,
@@ -516,11 +513,15 @@ def test_solution_bounds_clipped(ex2):
 # regathered the nonbasic columns, bound flips included. Kept verbatim as
 # the reference that the basis-keeping core must match bit for bit. It
 # reads Bland's threshold from this module; the tests below mirror lp's.
+# Its first line reads each variable's bound status from x and the bounds,
+# which simplex_solve no longer passes in.
 _BLAND_AFTER = lp._BLAND_AFTER
+_AT_LOWER, _AT_UPPER, _FREE = 0, 1, 2
 
 
-def _per_pivot_simplex_core(a_full, b_eq, cost, lo, hi, basis, stat, x, budget) -> tuple[int, LpStatus]:
+def _per_pivot_simplex_core(a_full, b_eq, cost, lo, hi, basis, x, budget) -> tuple[int, LpStatus]:
     """Run simplex pivots in place; returns (iterations, status)."""
+    stat = np.where(np.isfinite(lo) | np.isfinite(hi), np.where(x == hi, _AT_UPPER, _AT_LOWER), _FREE)
     total = a_full.shape[1]
     identity = np.eye(a_full.shape[0])
     iterations = 0

@@ -11,7 +11,6 @@ from handsoff.model import Box, PiecewiseConstantControl, Problem
 from handsoff.sim import (
     BlowUpError,
     NonlinearDynamics,
-    _sample_extremal,
     endpoint_residual,
     hamiltonian_profile,
     linear_dynamics,
@@ -261,7 +260,7 @@ def test_trajectory_csv_bytes_match_per_row_text(tmp_path, ex2, ex2_control):
     # gives the same text.
     traj = propagate_exact(ex2, ex2_control)
     ap = AdjointParams(1, np.array([0.0, 1.0]))
-    ex = _sample_extremal(ex2, ap, traj, None)
+    ex = hamiltonian_profile(ex2, ap, traj, None)
     path = tmp_path / "traj.csv"
     for with_ap in (False, True):
         save_trajectory(traj, path, prob=ex2, ap=ap if with_ap else None)
