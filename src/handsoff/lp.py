@@ -365,9 +365,8 @@ def l1_solve(prob: Problem, n_intervals: int) -> tuple[PiecewiseConstantControl,
     sol = simplex_solve(lp)
     if sol.status is not LpStatus.OPTIMAL:
         raise LpError(sol.status, "L1 relaxation")
-    box = _require_box(prob, "the L1 relaxation")
     parts = sol.x.reshape(n_intervals, prob.m, 2)
-    values = np.clip(parts[:, :, 0] - parts[:, :, 1], box.lower, box.upper)
+    values = np.clip(parts[:, :, 0] - parts[:, :, 1], prob.U.lower, prob.U.upper)
     breakpoints = np.linspace(prob.a, prob.b, n_intervals + 1)
     return PiecewiseConstantControl(breakpoints, values), sol.objective
 

@@ -126,6 +126,8 @@ class Problem:
         d = f.shape[0]
         if g.shape[0] != d:
             raise ValidationError("G", f"has {g.shape[0]} rows, expected {d}")
+        if g.shape[1] == 0:
+            raise ValidationError("G", "has no columns; a steering task needs at least one input channel")
         if va.shape != (d,):
             raise ValidationError("A", f"must be a {d}-vector, got shape {va.shape}")
         if vb.shape != (d,):

@@ -53,7 +53,8 @@ def step_points(breakpoints, values) -> tuple[np.ndarray, np.ndarray]:
 
 def render(panels: list[Panel], path: str | Path) -> None:
     """Write the panels stacked vertically into one SVG file; points with a
-    non-finite coordinate are dropped."""
+    non-finite coordinate are dropped (a curve left with none draws no line),
+    and a zero x span, like a near-zero y span, is widened by 1 each side."""
     width = _PANEL_W
     height = _PANEL_H * len(panels)
     parts = [
@@ -68,9 +69,13 @@ def render(panels: list[Panel], path: str | Path) -> None:
 
         finite = [np.isfinite(x) & np.isfinite(y) for x, y, _, _ in panel.curves]
         curves = [(x[ok], y[ok], label, dash) for (x, y, label, dash), ok in zip(panel.curves, finite)]
-        xs = np.concatenate([c[0] for c in curves]) if curves else np.array([0.0, 1.0])
-        ys = np.concatenate([c[1] for c in curves]) if curves else np.array([0.0, 1.0])
+        xs = np.concatenate([c[0] for c in curves] + [[]])
+        ys = np.concatenate([c[1] for c in curves] + [[]])
+        if not xs.size:
+            xs = ys = np.array([0.0, 1.0])
         x_lo, x_hi = float(xs.min()), float(xs.max())
+        if x_lo == x_hi:
+            x_lo, x_hi = x_lo - 1.0, x_hi + 1.0
         y_lo, y_hi = float(ys.min()), float(ys.max())
         if np.isclose(y_lo, y_hi):
             y_lo, y_hi = y_lo - 1.0, y_hi + 1.0
@@ -117,9 +122,9 @@ def render(panels: list[Panel], path: str | Path) -> None:
             color = _COLORS[ci % len(_COLORS)]
             pts = " ".join(f"{sx(px):.2f},{sy(py):.2f}" for px, py in zip(cx, cy))
             dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
-            parts.append(
-                f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.6"{dash_attr}/>'
-            )
+            if pts:
+                parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
+                             f'stroke-width="1.6"{dash_attr}/>')
             if label:
                 lx = x1 - 150
                 parts.append(

@@ -26,8 +26,9 @@ their free variables, so the starts of a whole run of them are stacked,
 advanced in lockstep and evaluated in one vectorized computation per
 iteration. Each structure's fit stops at the first of its starts that
 meets the endpoint or once all of its starts have stalled, which ends
-infeasible structures early, and the sweep takes the fits in enumeration
-order as they stop.
+infeasible structures early. :func:`_fit_run` alone sets this policy (the
+runs, each structure's seed, the starts and iterations of a fit), and the
+sweep takes its fits in enumeration order as they stop.
 
 The sweep stops as soon as the incumbent is certified globally optimal.
 Every terminal costate p gives a Lagrange dual lower bound g(p) on the
@@ -41,7 +42,7 @@ remaining structures are recorded as pruned instead of fitted.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -289,8 +290,9 @@ _DAMPING_MAX = 1e10
 _STALL_ITERATIONS = 5
 _STALL_GAIN = 1e-9
 
-#: Dirichlet starts per structure fit in :func:`synth_l0`.
+#: Dirichlet starts and iteration budget of one structure fit (:func:`_fit_run`).
 _FIT_STARTS = 20
+_FIT_MAXITER = 300
 
 #: Start rows one :func:`_fit_run` batch holds at most; a longer run is
 #: fitted in consecutive chunks of whole structures.
@@ -345,44 +347,44 @@ def _structure_map(prob: Problem, run: list[Structure]):
 
 
 def _fit_run(
-    prob: Problem,
-    run: list[Structure],
-    seeds: Sequence[int],
-    starts: int,
-    stop_residual: float,
-    maxiter: int,
+    prob: Problem, structures: Iterable[Structure], seed: int, stop_residual: float
 ) -> Iterator[tuple[np.ndarray, np.ndarray, float, int]]:
-    """Fit the durations (and ball directions) of a run of structures to the endpoint.
+    """Fit the durations (and ball directions) of a structure sequence to the endpoint.
 
-    The structures of ``run`` share their free variables
-    (:func:`_structure_map`). Structure j draws its Dirichlet starts of the
-    duration simplex from ``default_rng(seeds[j])``; the starts of every
-    structure are stacked and advanced in lockstep by projected
-    Levenberg-Marquardt, head durations kept in {x >= 0, sum(x) <= horizon}.
-    Each structure stops on its own: when one of its starts reaches
-    ``stop_residual``, when all of its starts have stalled, or after
-    ``maxiter`` iterations. Every row's arithmetic is independent of the
-    other rows, so each fit is bitwise the fit of its structure alone.
+    Reads ``structures`` lazily and groups each run of consecutive
+    structures of one (n_on, segments) shape, which share their free
+    variables (:func:`_structure_map`); runs above _RUN_ROWS start rows are
+    fitted in consecutive chunks of whole structures. Structure i of the
+    sequence draws its _FIT_STARTS Dirichlet starts of the duration simplex
+    from ``default_rng(seed + i)``; the starts of a chunk are stacked and
+    advanced in lockstep by projected Levenberg-Marquardt, head durations
+    kept in {x >= 0, sum(x) <= horizon}. Each structure stops on its own:
+    when one of its starts reaches ``stop_residual``, when all of its
+    starts have stalled, or after _FIT_MAXITER iterations. Every row's
+    arithmetic is independent of the other rows, so each fit is bitwise
+    the fit of its structure alone.
 
     A generator: yields (durations, segment_values, residual, iterations)
-    per structure in run order, as soon as that structure and every
+    per structure in sequence order, as soon as that structure and every
     earlier one have stopped. A caller that commits each fit as it arrives
     and stops drawing once its sweep is done sees exactly the fits of a
     one-at-a-time sweep, so the winner cannot change; only the structures
-    still being fitted in the same batch did work that is thrown away.
-    Runs above _RUN_ROWS start rows are fitted in consecutive chunks.
+    still being fitted in the same chunk did work that is thrown away, and
+    no later run is read beyond its first structure.
     """
     horizon = prob.horizon
     edge = MIN_SEGMENT * horizon
-    chunk_size = max(1, _RUN_ROWS // starts)
-    for first in range(0, len(run), chunk_size):
-        chunk = run[first : first + chunk_size]
+    size = max(1, _RUN_ROWS // _FIT_STARTS)  # structures per chunk
+    numbered = enumerate(structures, seed)  # (seed + i, structure i)
+    runs = (list(run) for _, run in itertools.groupby(numbered, key=lambda item: (item[1].n_on, item[1].segments)))
+    chunks = (zip(*run[first : first + size]) for run in runs for first in range(0, len(run), size))
+    for seeds, chunk in chunks:
         heads, n_free, evaluate = _structure_map(prob, chunk)
         n_angles = n_free - heads
-        per = starts if n_free else 1
+        per = _FIT_STARTS if n_free else 1
         rows = []
-        for seed in seeds[first : first + chunk_size]:
-            rng = np.random.default_rng(seed)
+        for structure_seed in seeds:
+            rng = np.random.default_rng(structure_seed)
             for _ in range(per):
                 split = rng.dirichlet(np.ones(heads + 1)) * horizon
                 rows.append(list(split[:heads]) + list(rng.uniform(0.0, np.pi, n_angles)))
@@ -398,7 +400,7 @@ def _fit_run(
         emitted = 0
         iterations = 0
         while True:
-            fitting = (stopped_at < 0) & (iterations < maxiter)
+            fitting = (stopped_at < 0) & (iterations < _FIT_MAXITER)
             fitting &= (f.reshape(-1, per).min(axis=1) > stop_residual) & live.reshape(-1, per).any(axis=1)
             stopped_at[(stopped_at < 0) & ~fitting] = iterations
             while emitted < len(chunk) and stopped_at[emitted] >= 0:
@@ -550,10 +552,11 @@ def synth_l0(
     fit that the full sweep would have preferred by that margin is not
     tried.
 
-    Each run of consecutive structures of one shape is fitted in one batch
-    (:func:`_fit_run`) and its fits are taken in enumeration order, so the
-    trials, the winner and the bound are those of fitting one structure at
-    a time. A ball input set in more than 3 channels raises
+    The fits come from :func:`_fit_run`, which batches each run of
+    consecutive structures of one shape and seeds structure i with
+    ``seed + i``; they are taken in enumeration order, so the trials, the
+    winner and the bound are those of fitting one structure at a time. A
+    ball input set in more than 3 channels raises
     :class:`UnsupportedProblemError` before any work.
     """
     if isinstance(prob.U, Ball) and prob.m > 3:
@@ -580,40 +583,26 @@ def synth_l0(
     lower_bound = float("-inf")
     best: tuple[PiecewiseConstantControl, Trajectory, float] | None = None
 
-    # Runs of consecutive structures with one (n_on, segments) shape are
-    # fitted in one batch; groupby draws them lazily, so a pruned tail is
-    # never grouped.
-    for _, group in itertools.groupby(structures, key=lambda st: (st.n_on, st.segments)):
-        run = list(group)
-        first = len(trials)
-        fits = _fit_run(
-            prob,
-            run,
-            seeds=range(seed + first, seed + first + len(run)),
-            starts=_FIT_STARTS,
-            stop_residual=min(1e-10, 0.01 * feas_tol),
-            maxiter=300,
-        )
-        for st, (durations, values, residual, iterations) in zip(run, fits):
-            control = _assemble_control(prob, st, durations, values)
-            support = float(l0_cost(control, zero_tol))
-            feasible = residual <= feas_tol
-            # Iteration order is sparsest-first, so within the tie window the
-            # earlier structure keeps the slot.
-            if feasible and support < best_support - SUPPORT_TIE:
-                # The fit's residual is of its raw durations; the assembled control must meet B.
-                traj = propagate_exact(prob, control)
-                reached = endpoint_residual(traj, prob.B)
-                if reached <= feas_tol:
-                    best_support, best = support, (control, traj, reached)
-                    if isinstance(prob.U, Box):
-                        for p in _crossing_least_squares(prob, control, 1):
-                            lower_bound = max(lower_bound, dual_bound(prob, p))
-                else:
-                    residual, feasible = reached, False
-            trials.append(TrialRecord(st, float(residual), support, bool(feasible), iterations))
-            if best_support <= lower_bound + SUPPORT_TIE / 2:
-                break
+    # The fits arrive in enumeration order; a pruned tail is never fitted.
+    fits = _fit_run(prob, structures, seed, min(1e-10, 0.01 * feas_tol))
+    for st, (durations, values, residual, iterations) in zip(structures, fits):
+        control = _assemble_control(prob, st, durations, values)
+        support = float(l0_cost(control, zero_tol))
+        feasible = residual <= feas_tol
+        # Iteration order is sparsest-first, so within the tie window the
+        # earlier structure keeps the slot.
+        if feasible and support < best_support - SUPPORT_TIE:
+            # The fit's residual is of its raw durations; the assembled control must meet B.
+            traj = propagate_exact(prob, control)
+            reached = endpoint_residual(traj, prob.B)
+            if reached <= feas_tol:
+                best_support, best = support, (control, traj, reached)
+                if isinstance(prob.U, Box):
+                    for p in _crossing_least_squares(prob, control, 1):
+                        lower_bound = max(lower_bound, dual_bound(prob, p))
+            else:
+                residual, feasible = reached, False
+        trials.append(TrialRecord(st, float(residual), support, bool(feasible), iterations))
         if best_support <= lower_bound + SUPPORT_TIE / 2:
             break
     pruned = structures[len(trials) :]
@@ -636,8 +625,8 @@ def synth_l0(
     report = None
     if certificate is not None:
         report = _certify_trajectory(prob, certificate.eta, certificate.p_hat, control, traj)
-    if certificate is not None and certificate.eta == 1:
-        lower_bound = max(lower_bound, dual_bound(prob, certificate.p_hat))
+        if certificate.eta == 1:
+            lower_bound = max(lower_bound, dual_bound(prob, certificate.p_hat))
     return SynthResult(
         control=control,
         trajectory=traj,

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from handsoff.model import Box, PiecewiseConstantControl, Problem
+from handsoff.model import Ball, Box, PiecewiseConstantControl, Problem
 from handsoff.problems import (
     example_1,
     example_1_reference_control,
@@ -57,6 +57,14 @@ def d3_plant(seed: int = 0) -> Problem:
         g = g + spread.uniform(-0.01, 0.01, g.shape)
         a = a + spread.uniform(-0.01, 0.01, a.shape)
     return Problem(F=f, G=g, a=0, b=6, A=a, B=np.zeros(3), U=Box([-1.0], [1.0]))
+
+
+def ball_plant() -> Problem:
+    """The ROADMAP d=3 ball plant: the d=3 plant's F, then G (3, 2) and A."""
+    rng = np.random.default_rng(0)
+    f = rng.uniform(-1, 1, (3, 3)) - 1.5 * np.eye(3)
+    g = rng.uniform(-1, 1, (3, 2))
+    return Problem(F=f, G=g, a=0, b=6, A=rng.uniform(-1, 1, 3), B=np.zeros(3), U=Ball(1.0))
 
 
 def random_problem(rng: np.random.Generator, d: int = 2, m: int = 1, stable: bool = True) -> Problem:

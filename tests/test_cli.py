@@ -487,6 +487,20 @@ class TestBallProblem:
         assert err.startswith("error: ") and "2 or 3" in err and "4 channels" in err
         assert "invalid problem" not in err and not list(tmp_path.glob("*.csv"))
 
+    @pytest.mark.parametrize("u_set", [{"kind": "ball", "radius": 1.0}, {"kind": "box", "lower": [], "upper": []}])
+    def test_no_input_channel_is_invalid(self, capsys, tmp_path, u_set):
+        # A G without columns used to end in a numpy traceback (ball U, exit
+        # 1) or in "infeasible" from the gate (box U, exit 2).
+        spec = {"F": [[-1.0, 0.0], [0.0, -1.0]], "G": [[], []], "a": 0.0, "b": 4.0,
+                "A": [2.0, 0.0], "B": [0.0, 0.0], "U": u_set}
+        path = tmp_path / "no_input.json"
+        path.write_text(json.dumps(spec))
+        out = tmp_path / "out"
+        assert main(["solve-l0", str(path), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: invalid problem or control file: G: ") and captured.out == ""
+        assert not out.exists() or not any(out.iterdir())
+
     def test_negative_phat_component_parses(self, capsys, ex2_file, ex2_run):
         _, _, out = ex2_run
         control = out / "ex2_l0_control.csv"

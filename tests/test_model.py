@@ -73,6 +73,14 @@ class TestLoadProblem:
             load_problem(path)
         assert err.value.field == "A"
 
+    @pytest.mark.parametrize("u_set", [Ball(1.0), Box([], [])])
+    def test_no_input_channel_rejected(self, u_set):
+        # A G without columns used to pass: solve-l0 then died in the
+        # duration fit (ball U) or called the task infeasible (box U).
+        with pytest.raises(ValidationError) as err:
+            Problem(F=-np.eye(2), G=np.zeros((2, 0)), a=0.0, b=1.0, A=np.ones(2), B=np.zeros(2), U=u_set)
+        assert err.value.field == "G"
+
     def test_malformed_json_raises(self, tmp_path):
         path = tmp_path / "prob.json"
         path.write_text("{not json")

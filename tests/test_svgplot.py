@@ -1,4 +1,5 @@
-"""SVG figures: the polyline text of a rendered panel, point by point."""
+"""SVG figures: the polyline text of a rendered panel, point by point, and
+degenerate panels."""
 
 import re
 
@@ -41,3 +42,32 @@ def test_polyline_points_match_per_point_text(tmp_path):
     ]
     assert got == want
     assert len(want[1].split()) == 3
+
+
+def polylines(path):
+    return re.findall(r'<polyline points="([^"]*)"', path.read_text(encoding="utf-8"))
+
+
+def test_panel_without_x_extent(tmp_path):
+    # Points that share one x used to divide by zero in the x scaling. The
+    # span is widened by 1 each side, as a flat y range is, so the point
+    # sits in the middle of the axes box.
+    path = tmp_path / "point.svg"
+    render([Panel("p").add([2.0], [1.0])], path)
+    x_mid = (svgplot._MARGIN_L + svgplot._PANEL_W - svgplot._MARGIN_R) / 2
+    y_mid = (svgplot._MARGIN_T + svgplot._PANEL_H - svgplot._MARGIN_B) / 2
+    assert polylines(path) == [f"{x_mid:.2f},{y_mid:.2f}"]
+    text = path.read_text(encoding="utf-8")
+    assert ">1</text>" in text and ">3</text>" in text  # the x ticks run from 1 to 3
+
+
+def test_curve_without_finite_points(tmp_path):
+    # A curve that the finite filter leaves empty, or that has no point at
+    # all, used to reach numpy's zero-size min() when no other curve of the
+    # panel had a point. It now draws no polyline, and the other curves of
+    # its panel are drawn as without it.
+    both, alone = tmp_path / "both.svg", tmp_path / "alone.svg"
+    render([Panel("p").add([0.0, 1.0], [0.0, 2.0]).add([0.5], [np.inf]).add([], []),
+            Panel("q").add([np.nan, 1.0], [1.0, np.nan]).add([], [])], both)
+    render([Panel("p").add([0.0, 1.0], [0.0, 2.0])], alone)
+    assert polylines(both) == polylines(alone) and len(polylines(alone)) == 1

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import brentq
 
-from conftest import d3_plant, random_problem
+from conftest import ball_plant, d3_plant, random_problem
 from handsoff import lp
 from handsoff.linalg import ExpKernel
 from handsoff.lp import linf_feasibility
@@ -197,9 +197,9 @@ class TestEnumerateStructures:
 
 
 def fit_alone(prob, st, seed=42):
-    """One structure fitted on its own (20 starts): (durations, values,
-    residual, iterations) of a one-structure run."""
-    return next(_fit_run(prob, [st], [seed], 20, 1e-10, 300))
+    """One structure fitted on its own: (durations, values, residual,
+    iterations) of a one-structure sequence."""
+    return next(_fit_run(prob, [st], seed, 1e-10))
 
 
 def solve_durations(prob, st):
@@ -280,14 +280,6 @@ class TestEndpointJacobian:
         assert np.allclose(jac[0], jacobian_by_differences(evaluate, x), rtol=1e-7, atol=1e-8)
 
 
-def ball_plant() -> Problem:
-    """The ROADMAP d=3 ball plant: the d=3 plant's F, then G (3, 2) and A."""
-    rng = np.random.default_rng(0)
-    f = rng.uniform(-1, 1, (3, 3)) - 1.5 * np.eye(3)
-    g = rng.uniform(-1, 1, (3, 2))
-    return Problem(F=f, G=g, a=0, b=6, A=rng.uniform(-1, 1, 3), B=np.zeros(3), U=Ball(1.0))
-
-
 def two_channel_plant() -> Problem:
     """A seeded stable 2-channel plant with an asymmetric box."""
     rng = np.random.default_rng(5)
@@ -295,21 +287,14 @@ def two_channel_plant() -> Problem:
                    A=rng.uniform(-1, 1, 2), B=np.zeros(2), U=Box([-1.0, -0.5], [1.0, 1.0]))
 
 
-def sweep_runs(prob: Problem, k_max: int):
-    """synth_l0's runs: consecutive structures of one (n_on, segments)
-    shape, each with the seeds synth_l0 gives them at seed 42."""
-    structures = enumerate(enumerate_structures(prob.m, prob.U, k_max))
-    for _, group in itertools.groupby(structures, key=lambda item: (item[1].n_on, item[1].segments)):
-        orders, run = zip(*group)
-        yield list(run), [42 + order for order in orders]
-
-
 class TestFitRun:
-    def assert_run_fits_alone(self, prob, run, seeds):
-        fits = list(_fit_run(prob, run, seeds, 20, 1e-10, 300))
-        assert len(fits) == len(run)
-        for st, seed, (durations, values, residual, iterations) in zip(run, seeds, fits):
-            alone = fit_alone(prob, st, seed)
+    def assert_fits_alone(self, prob, k_max):
+        # Structure i of the sequence fits as it does alone at seed 42 + i.
+        structures = enumerate_structures(prob.m, prob.U, k_max)
+        fits = list(_fit_run(prob, structures, 42, 1e-10))
+        assert len(fits) == len(structures)
+        for i, (st, (durations, values, residual, iterations)) in enumerate(zip(structures, fits)):
+            alone = fit_alone(prob, st, 42 + i)
             assert np.array_equal(durations, alone[0]) and np.array_equal(values, alone[1])
             assert residual == alone[2] and iterations == alone[3]
 
@@ -317,23 +302,43 @@ class TestFitRun:
     def test_every_structure_fits_as_alone(self, name, k_max, ex1, ex2):
         prob = {"ex1": ex1, "ex2": ex2, "d3": d3_plant(), "two_channel": two_channel_plant(),
                 "ball": ball_plant()}[name]
-        for run, seeds in sweep_runs(prob, k_max):
-            self.assert_run_fits_alone(prob, run, seeds)
+        self.assert_fits_alone(prob, k_max)
 
     def test_run_split_by_the_row_cap(self, monkeypatch):
-        # The d=3 plant's longest run at k_max 4, 12 structures of 20 starts,
-        # fitted two structures (40 start rows) at a time.
+        # The d=3 plant at k_max 4 (longest run: 12 structures of 20 starts),
+        # fitted at most two structures (40 start rows) at a time.
         from handsoff import synth
 
-        prob = d3_plant()
-        run, seeds = max(sweep_runs(prob, 4), key=lambda item: len(item[0]))
-        assert len(run) == 12
         batches = []
         real = synth._endpoint_jacobian
         monkeypatch.setattr(synth, "_endpoint_jacobian", lambda p, v, d: batches.append(len(v)) or real(p, v, d))
         monkeypatch.setattr(synth, "_RUN_ROWS", 40)
-        self.assert_run_fits_alone(prob, run, seeds)
+        self.assert_fits_alone(d3_plant(), 4)
         assert max(batches) == 40
+
+    def test_runs_are_read_lazily(self, monkeypatch):
+        # synth_l0 prunes by no longer drawing fits, so drawing the fits of
+        # the first runs must not start a later one. A box sweep opens with
+        # the all-off structure, then the two one-segment saturations: their
+        # three fits take two runs and read one structure past them, the
+        # first of the next run, to close the second.
+        from handsoff import synth
+
+        prob = d3_plant()
+        read, runs = [], []
+
+        def sequence():
+            for st in enumerate_structures(prob.m, prob.U, 4):
+                read.append(st)
+                yield st
+
+        real = synth._structure_map
+        monkeypatch.setattr(synth, "_structure_map", lambda p, run: runs.append(list(run)) or real(p, run))
+        fits = _fit_run(prob, sequence(), 42, 1e-10)
+        for _ in range(3):
+            next(fits)
+        assert [[st.labels for st in run] for run in runs] == [[((0.0,),)], [((-1.0,),), ((1.0,),)]]
+        assert len(read) == 4
 
     def test_endpoint_evaluations(self, ex2, monkeypatch):
         # Measured: 563 and 20 evaluations, down from 1,790 and 52 with one
