@@ -18,9 +18,9 @@ its trajectory. The checker verifies every first-order condition:
 
 One pass serves every check: :func:`handsoff.sim.hamiltonian_profile`
 evaluates the costates (analytic for LTI plants, one backward RK4 pass
-with its Jacobians for callback dynamics), the Hamiltonian and the
-off-breakpoint mask along the trajectory once, and the checks compare
-those samples. Only the LTI adjoint check uses its own uniform grid of N
+over three stacked Jacobian calls for callback dynamics), the Hamiltonian
+and the off-breakpoint mask along the trajectory once, and the checks
+compare those samples. Only the LTI adjoint check uses its own uniform grid of N
 samples, built from about 2 sqrt(N) exponentials: anchor costates every
 B = ceil(sqrt(N)) samples from :func:`handsoff.control_law.adjoint_on_grid`,
 each carried to the B - 1 samples below it by the short flows
@@ -165,7 +165,7 @@ def check_hamiltonian_max(
     LTI plants the shortfall is exact: the largest
     :func:`handsoff.control_law.hamiltonian_gap` of the switching values
     and inputs. For general dynamics the supremum is taken over an input
-    grid of _HMAX_INPUTS points.
+    grid of _HMAX_INPUTS points per axis, in one phi call per sample.
     """
     return _hmax_shortfall(prob, ap, traj, hamiltonian_profile(prob, ap, traj, u, dynamics), dynamics)
 
@@ -188,9 +188,9 @@ def _hmax_shortfall(
     inputs = _input_grid(prob.U, prob.m, _HMAX_INPUTS)
     shortfall = 0.0
     for i in keep:
-        p, z = ex.costates[i], traj.states[i]
-        velocities = np.array([np.asarray(dynamics.phi(z, v), dtype=float) for v in inputs])
-        values = hamiltonian_values(prob, ap.eta, np.broadcast_to(p, velocities.shape), None, inputs, velocities)
+        velocities = dynamics._call(np.broadcast_to(traj.states[i], (len(inputs), prob.d)), inputs)
+        p = np.broadcast_to(ex.costates[i], velocities.shape)
+        values = hamiltonian_values(prob, ap.eta, p, None, inputs, velocities)
         shortfall = max(shortfall, float(values.max() - ex.values[i]))
     return shortfall
 
@@ -222,6 +222,7 @@ def certify(
     if dynamics is None:
         traj = propagate_exact(prob, control)
     else:
+        dynamics._check_problem(prob)
         traj = propagate_rk4(dynamics, control, prob.A, rk4_steps)
     return _certify_trajectory(prob, eta, p_hat, control, traj, dynamics, tol)
 

@@ -238,13 +238,14 @@ def candidates_at(prob: Problem, ap: AdjointParams, t: float, tie_tol: float = T
 
 
 def _input_grid(u_set: Box | Ball, m: int, grid_n: int) -> np.ndarray:
-    """Dense admissible-input grid with the zero vector included exactly."""
+    """Dense admissible-input grid with the zero vector included exactly; a box
+    axis gets at most floor(1001^(2/m)) points, and every vertex stays."""
     if isinstance(u_set, Box):
         if m > 3:
             raise ValueError("brute-force grid supports at most 3 box channels")
         axes = []
         for i in range(m):
-            ax = np.linspace(u_set.lower[i], u_set.upper[i], grid_n)
+            ax = np.linspace(u_set.lower[i], u_set.upper[i], min(grid_n, int(1001 ** (2 / m))))
             axes.append(sorted_unique(np.concatenate([ax, [0.0]])))
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack([g.ravel() for g in mesh], axis=1)

@@ -6,8 +6,9 @@ its offset (one exponential-kernel call for all offsets), so the only
 error is the matrix exponential's. General dynamics go through a
 classical fixed-step fourth-order Runge-Kutta integrator whose step grid
 is aligned with the control breakpoints (a segment never straddles a
-control discontinuity). Fixed-step keeps regression numbers reproducible;
-these problems are desk-scale, so speed is not a concern.
+control discontinuity). Fixed-step keeps regression numbers reproducible.
+RK4 calls the callbacks once per stage; every later pass calls them on
+stacked points, a few times per trajectory (:class:`NonlinearDynamics`).
 
 :func:`hamiltonian_profile` evaluates a candidate extremal along its
 trajectory once, into one record (:class:`HamiltonianProfile`); trajectory
@@ -43,11 +44,13 @@ class BlowUpError(RuntimeError):
 class NonlinearDynamics:
     """User-supplied dynamics zdot = phi(z, u) for certification.
 
-    ``jac_z`` optionally returns the state Jacobian d(phi)/dz; when absent
-    a central finite difference is used. ``affine_in_state`` marks plants
-    whose phi(., u) is affine for every admissible u, which is what the
-    local-optimality test needs. The callbacks must be safe for repeated
-    invocation; thread-safety is the caller's contract.
+    The callbacks take stacked points, z of shape (..., d) and u of shape
+    (..., m) with one leading shape (a single point has the leading shape
+    ()), and return phi of shape (..., d) and the state Jacobian d(phi)/dz
+    of shape (..., d, d); any other result raises ValueError. ``jac_z`` is
+    optional; when absent a central finite difference is used.
+    ``affine_in_state`` marks plants whose phi(., u) is affine for every
+    admissible u, which is what the local-optimality test needs.
     """
 
     d: int
@@ -56,44 +59,49 @@ class NonlinearDynamics:
     jac_z: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
     affine_in_state: bool = False
 
+    def _call(self, z: np.ndarray, u: np.ndarray, jacobian: bool = False) -> np.ndarray:
+        """phi, or jac_z, at stacked points: the one caller of the callbacks."""
+        name, fn, tail = ("jac_z", self.jac_z, (self.d, self.d)) if jacobian else ("phi", self.phi, (self.d,))
+        out = np.asarray(fn(z, u), dtype=float)
+        if out.shape != np.shape(z)[:-1] + tail:
+            raise ValueError(
+                f"{name} must map z of shape (..., d) and u of shape (..., m) to shape (...{', d' * len(tail)}) "
+                f"with d = {self.d}; got {out.shape} for z of shape {np.shape(z)}"
+            )
+        return out
+
     def jacobian(self, z: np.ndarray, u: np.ndarray) -> np.ndarray:
-        if self.jac_z is not None:
-            return np.asarray(self.jac_z(z, u), dtype=float)
-        return self._fd_jacobian(z, u)
+        return self._fd_jacobian(z, u) if self.jac_z is None else self._call(z, u, jacobian=True)
 
     def _fd_jacobian(self, z: np.ndarray, u: np.ndarray) -> np.ndarray:
         z = np.asarray(z, dtype=float)
-        step = np.sqrt(np.finfo(float).eps) * (1.0 + float(np.linalg.norm(z)))
-        jac = np.empty((self.d, self.d))
-        for i in range(self.d):
-            dz = np.zeros(self.d)
-            dz[i] = step
-            hi = np.asarray(self.phi(z + dz, u), dtype=float)
-            lo = np.asarray(self.phi(z - dz, u), dtype=float)
-            jac[:, i] = (hi - lo) / (2.0 * step)
+        step = np.sqrt(np.finfo(float).eps) * (1.0 + np.linalg.norm(z, axis=-1, keepdims=True))
+        jac = np.empty(z.shape + (self.d,))
+        for i, dz in enumerate(np.eye(self.d)):
+            jac[..., i] = (self._call(z + step * dz, u) - self._call(z - step * dz, u)) / (2.0 * step)
         if not np.all(np.isfinite(jac)):
             raise BlowUpError("finite-difference Jacobian produced non-finite entries")
         return jac
 
     def jacobian_defect(self, z: np.ndarray, u: np.ndarray) -> float:
         """Max deviation between the supplied Jacobian and central finite
-        differences at one point; 0.0 when no callback was supplied. The
-        only smoothness check available to the caller."""
+        differences; 0.0 when no callback was supplied. The only smoothness
+        check available to the caller."""
         if self.jac_z is None:
             return 0.0
-        supplied = np.asarray(self.jac_z(z, u), dtype=float)
-        return float(np.abs(supplied - self._fd_jacobian(z, u)).max())
+        return float(np.abs(self.jacobian(z, u) - self._fd_jacobian(z, u)).max())
+
+    def _check_problem(self, prob: Problem) -> None:
+        if (self.d, self.m) != (prob.d, prob.m):
+            raise ValueError(f"dynamics have (d, m) = ({self.d}, {self.m}), the problem ({prob.d}, {prob.m})")
 
 
 def linear_dynamics(prob: Problem) -> NonlinearDynamics:
     """Wrap an LTI problem's vector field in the callback interface."""
     f, g = prob.F, prob.G
     return NonlinearDynamics(
-        d=prob.d,
-        m=prob.m,
-        phi=lambda z, u: f @ z + g @ np.atleast_1d(u),
-        jac_z=lambda z, u: f,
-        affine_in_state=True,
+        prob.d, prob.m, phi=lambda z, u: z @ f.T + u @ g.T,
+        jac_z=lambda z, u: np.broadcast_to(f, np.shape(z)[:-1] + f.shape), affine_in_state=True,
     )
 
 
@@ -152,10 +160,10 @@ def propagate_rk4(
         n_sub = max(1, int(round(steps * (t1 - t0) / horizon)))
         h = (t1 - t0) / n_sub
         for j in range(n_sub):
-            k1 = np.asarray(dyn.phi(z, v), dtype=float)
-            k2 = np.asarray(dyn.phi(z + 0.5 * h * k1, v), dtype=float)
-            k3 = np.asarray(dyn.phi(z + 0.5 * h * k2, v), dtype=float)
-            k4 = np.asarray(dyn.phi(z + h * k3, v), dtype=float)
+            k1 = dyn._call(z, v)
+            k2 = dyn._call(z + 0.5 * h * k1, v)
+            k3 = dyn._call(z + 0.5 * h * k2, v)
+            k4 = dyn._call(z + h * k3, v)
             z = z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             if not np.all(np.isfinite(z)):
                 raise BlowUpError(f"state blew up near t = {t0 + (j + 1) * h:.6g}")
@@ -218,10 +226,9 @@ def hamiltonian_profile(
     if dynamics is None:
         costates, jacobians, velocities = adjoint_on_grid(prob, ap, traj.grid), None, None
     else:
+        dynamics._check_problem(prob)
+        velocities = dynamics._call(traj.states, traj.controls)
         costates, jacobians = _backward_adjoint(dynamics, traj, ap.p_hat)
-        velocities = np.stack(
-            [np.asarray(dynamics.phi(z, v), dtype=float) for z, v in zip(traj.states, traj.controls)]
-        )
     values = hamiltonian_values(prob, ap.eta, costates, traj.states, traj.controls, velocities)
     return HamiltonianProfile(values, keep, costates, jacobians)
 
@@ -232,23 +239,20 @@ def _backward_adjoint(
     """Backward RK4 integration of pdot = -J(z, u)^T p along a sampled trajectory.
 
     Step i runs from grid[i + 1] back to grid[i] under u_i with the state
-    interpolated linearly, so it needs the Jacobian at both ends and once
-    at the midpoint, which k2 and k3 share. Returns the costates and the
-    Jacobians at (z_i, u_i) for i < n - 1.
+    interpolated linearly, so it needs the Jacobians at every step's two
+    ends and midpoint (which k2 and k3 share): three stacked calls. Returns
+    the costates and the Jacobians at (z_i, u_i) for i < n - 1.
     """
-    grid, states = traj.grid, traj.states
-    n = grid.size
-    costates = np.empty((n, dyn.d))
-    jacobians = np.empty((n - 1, dyn.d, dyn.d))
+    grid, states, u = traj.grid, traj.states, traj.controls[:-1]
+    ends, mids = dyn.jacobian(states[1:], u), dyn.jacobian(0.5 * states[:-1] + 0.5 * states[1:], u)
+    jacobians = dyn.jacobian(states[:-1], u)
+    costates = np.empty((grid.size, dyn.d))
     costates[-1] = p_hat
-    for i in range(n - 2, -1, -1):
-        h, p, u = grid[i + 1] - grid[i], costates[i + 1], traj.controls[i]
-        end = dyn.jacobian(states[i + 1], u)
-        mid = dyn.jacobian(0.5 * states[i] + 0.5 * states[i + 1], u)
-        jacobians[i] = dyn.jacobian(states[i], u)
-        k1 = -end.T @ p
-        k2 = -mid.T @ (p - 0.5 * h * k1)
-        k3 = -mid.T @ (p - 0.5 * h * k2)
+    for i in range(grid.size - 2, -1, -1):
+        h, p = grid[i + 1] - grid[i], costates[i + 1]
+        k1 = -ends[i].T @ p
+        k2 = -mids[i].T @ (p - 0.5 * h * k1)
+        k3 = -mids[i].T @ (p - 0.5 * h * k2)
         k4 = -jacobians[i].T @ (p - h * k3)
         costates[i] = p - (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return costates, jacobians

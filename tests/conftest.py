@@ -67,6 +67,19 @@ def ball_plant() -> Problem:
     return Problem(F=f, G=g, a=0, b=6, A=rng.uniform(-1, 1, 3), B=np.zeros(3), U=Ball(1.0))
 
 
+def pendulum_phi(z: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The forced pendulum zdot = (z_2, -sin z_1 + u) at stacked points."""
+    return np.stack([z[..., 1], -np.sin(z[..., 0]) + u[..., 0]], axis=-1)
+
+
+def pendulum_jac(z: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """d(pendulum_phi)/dz at stacked points."""
+    jac = np.zeros(np.shape(z) + (2,))
+    jac[..., 0, 1] = 1.0
+    jac[..., 1, 0] = -np.cos(z[..., 0])
+    return jac
+
+
 def random_problem(rng: np.random.Generator, d: int = 2, m: int = 1, stable: bool = True) -> Problem:
     """Random LTI steering task with a unit box input set."""
     f = rng.uniform(-1.0, 1.0, (d, d))

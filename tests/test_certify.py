@@ -2,6 +2,7 @@
 constancy, nontriviality, and the assembled verdicts."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from scipy.integrate import quad
 from scipy.linalg import expm
 from scipy.optimize import brentq
 
-from conftest import d3_plant, random_control, random_problem
+from conftest import d3_plant, pendulum_jac, pendulum_phi, random_control, random_problem
 from handsoff import certificate, sim
 from handsoff.certificate import (
     certify,
@@ -18,7 +19,7 @@ from handsoff.certificate import (
     check_hamiltonian_max,
     dual_bound,
 )
-from handsoff.control_law import AdjointParams, adjoint_on_grid, hamiltonian_gap
+from handsoff.control_law import AdjointParams, _input_grid, adjoint_on_grid, hamiltonian_gap, hamiltonian_values
 from handsoff.linalg import ExpKernel, sorted_unique
 from handsoff.lp import l1_solve
 from handsoff.model import Ball, Box, PiecewiseConstantControl, Problem, l0_cost
@@ -107,18 +108,7 @@ class TestCheckAdjoint:
     def test_callback_defect_matches_pointwise_loop(self):
         # The per-sample loop with fresh Jacobian calls is the reference for
         # the vectorized defect over the backward pass's stored Jacobians.
-        rng = np.random.default_rng(11)
-        f = rng.uniform(-1.0, 1.0, (3, 3))
-        g = rng.uniform(-1.0, 1.0, (3, 1))
-        dyn = NonlinearDynamics(
-            d=3,
-            m=1,
-            phi=lambda z, u: f @ z + np.sin(z) + g @ u,
-            jac_z=lambda z, u: f + np.diag(np.cos(z)),
-        )
-        prob = Problem(F=f, G=g, a=0.0, b=2.0, A=rng.uniform(-1, 1, 3), B=np.zeros(3), U=Box([-1.0], [1.0]))
-        u = PiecewiseConstantControl([0.0, 0.7, 2.0], [[1.0], [-0.5]])
-        ap = AdjointParams(1, rng.uniform(-1.0, 1.0, 3))
+        prob, dyn, u, ap = _sin_plant()
         traj = sim.propagate_rk4(dyn, u, prob.A, 200)
         costates = sim._backward_adjoint(dyn, traj, ap.p_hat)[0]
         grid, reference = traj.grid, 0.0
@@ -208,7 +198,26 @@ def _ex2_fd_dynamics(ex2):
     """ex2 through the callback interface, with finite-difference Jacobians
     and no state-affinity claim."""
     f, g = ex2.F, ex2.G
-    return NonlinearDynamics(d=2, m=1, phi=lambda z, u: f @ z + g @ np.atleast_1d(u), affine_in_state=False)
+    return NonlinearDynamics(d=2, m=1, phi=lambda z, u: z @ f.T + u @ g.T, affine_in_state=False)
+
+
+def _sin_plant():
+    """A 3-state plant zdot = F z + sin(z) + G u with its Jacobian, a
+    control and a multiplier that leave every residual nonzero."""
+    rng = np.random.default_rng(11)
+    f = rng.uniform(-1.0, 1.0, (3, 3))
+    g = rng.uniform(-1.0, 1.0, (3, 1))
+    # Stacked matrix-vector products, so a stack of points gets the floats
+    # that each point alone gets.
+    dyn = NonlinearDynamics(
+        d=3,
+        m=1,
+        phi=lambda z, u: (f @ z[..., None] + g @ u[..., None])[..., 0] + np.sin(z),
+        jac_z=lambda z, u: f + np.cos(z)[..., None] * np.eye(3),
+    )
+    prob = Problem(F=f, G=g, a=0.0, b=2.0, A=rng.uniform(-1, 1, 3), B=np.zeros(3), U=Box([-1.0], [1.0]))
+    u = PiecewiseConstantControl([0.0, 0.7, 2.0], [[1.0], [-0.5]])
+    return prob, dyn, u, AdjointParams(1, rng.uniform(-1.0, 1.0, 3))
 
 
 class TestOnePass:
@@ -231,19 +240,19 @@ class TestOnePass:
         assert len(calls) == 1
 
     def test_backward_pass_evaluates_three_jacobians_per_step(self, ex2, ex2_control):
-        # Both ends and the shared midpoint of k2 and k3; the adjoint defect
-        # reuses the start-of-step Jacobians instead of asking again.
+        # Both ends and the shared midpoint of k2 and k3, each one stacked
+        # call over every step; the adjoint defect reuses the start-of-step
+        # Jacobians instead of asking again.
         count = [0]
 
         def jac(z, u):
             count[0] += 1
-            return ex2.F
+            return np.broadcast_to(ex2.F, np.shape(z)[:-1] + (2, 2))
 
         f, g = ex2.F, ex2.G
-        dyn = NonlinearDynamics(d=2, m=1, phi=lambda z, u: f @ z + g @ np.atleast_1d(u), jac_z=jac)
-        traj = sim.propagate_rk4(dyn, ex2_control, ex2.A, 100)
+        dyn = NonlinearDynamics(d=2, m=1, phi=lambda z, u: z @ f.T + u @ g.T, jac_z=jac)
         certify(ex2, 1, np.array([0.3, 0.9]), ex2_control, dynamics=dyn, rk4_steps=100)
-        assert count[0] == 3 * (traj.grid.size - 1)
+        assert count[0] == 3
 
     def test_lti_certify_evaluates_trajectory_costates_once(self, ex2, ex2_control, monkeypatch):
         grids = []
@@ -293,6 +302,152 @@ class TestOnePass:
         traj = sim.propagate_rk4(dyn, ex2_control, ex2.A, 100)
         assert report.adjoint_residual == check_adjoint(ex2, ap, traj=traj, dynamics=dyn)
         assert report.hmax_violation == check_hamiltonian_max(ex2, ap, traj, ex2_control, dynamics=dyn)
+
+
+def _pendulum_problem() -> Problem:
+    """The pendulum's steering task; F is a placeholder, the callback drives."""
+    return Problem(
+        F=np.zeros((2, 2)), G=np.array([[0.0], [1.0]]), a=0.0, b=4.0, A=np.zeros(2), B=np.zeros(2), U=Box([-1.0], [1.0])
+    )
+
+
+def _callback_case(case: str, ex2, ex2_control):
+    """(problem, dynamics with a Jacobian, control, multiplier) with nonzero residuals."""
+    if case == "ex2":
+        return ex2, linear_dynamics(ex2), ex2_control, AdjointParams(1, np.array([0.3, 0.9]))
+    if case == "sin":
+        return _sin_plant()
+    swing = PiecewiseConstantControl([0.0, 1.0, 2.5, 4.0], [[1.0], [0.0], [-0.7]])
+    pendulum = NonlinearDynamics(d=2, m=1, phi=pendulum_phi, jac_z=pendulum_jac)
+    return _pendulum_problem(), pendulum, swing, AdjointParams(1, np.array([0.3, 0.5]))
+
+
+def _counting(dyn: NonlinearDynamics):
+    """dyn with counted callbacks, and the counts."""
+    calls = {"phi": 0, "jac_z": 0}
+
+    def phi(z, u):
+        calls["phi"] += 1
+        return dyn.phi(z, u)
+
+    def jac_z(z, u):
+        calls["jac_z"] += 1
+        return dyn.jac_z(z, u)
+
+    return replace(dyn, phi=phi, jac_z=None if dyn.jac_z is None else jac_z), calls
+
+
+def _per_sample_backward_adjoint(dyn, traj, p_hat):
+    """The backward RK4 pass with three Jacobian calls per step (the
+    reference for the stacked pass)."""
+    grid, states = traj.grid, traj.states
+    n = grid.size
+    costates = np.empty((n, dyn.d))
+    jacobians = np.empty((n - 1, dyn.d, dyn.d))
+    costates[-1] = p_hat
+    for i in range(n - 2, -1, -1):
+        h, p, u = grid[i + 1] - grid[i], costates[i + 1], traj.controls[i]
+        end = dyn.jacobian(states[i + 1], u)
+        mid = dyn.jacobian(0.5 * states[i] + 0.5 * states[i + 1], u)
+        jacobians[i] = dyn.jacobian(states[i], u)
+        k1 = -end.T @ p
+        k2 = -mid.T @ (p - 0.5 * h * k1)
+        k3 = -mid.T @ (p - 0.5 * h * k2)
+        k4 = -jacobians[i].T @ (p - h * k3)
+        costates[i] = p - (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return costates, jacobians
+
+
+def _per_input_hmax_shortfall(prob, ap, traj, ex, dynamics):
+    """The callback Hamiltonian shortfall with one phi call per sample and
+    input (the reference for one stacked call per sample)."""
+    keep = np.flatnonzero(ex.off_breakpoint)
+    if keep.size > 301:
+        keep = keep[sorted_unique(np.linspace(0, keep.size - 1, 301).astype(int))]
+    inputs = _input_grid(prob.U, prob.m, 1001)
+    shortfall = 0.0
+    for i in keep:
+        p, z = ex.costates[i], traj.states[i]
+        velocities = np.array([np.asarray(dynamics.phi(z, v), dtype=float) for v in inputs])
+        values = hamiltonian_values(prob, ap.eta, np.broadcast_to(p, velocities.shape), None, inputs, velocities)
+        shortfall = max(shortfall, float(values.max() - ex.values[i]))
+    return shortfall
+
+
+class TestCallbackContract:
+    """Callbacks take stacked points: each pass over a trajectory makes a
+    few stacked calls and reproduces the per-sample loops it replaced."""
+
+    @pytest.mark.parametrize("fd", [False, True])
+    @pytest.mark.parametrize("case", ["ex2", "sin", "pendulum"])
+    def test_stacked_passes_match_per_sample_loops(self, case, fd, ex2, ex2_control):
+        prob, dyn, u, ap = _callback_case(case, ex2, ex2_control)
+        if fd:
+            dyn = replace(dyn, jac_z=None)
+        traj = sim.propagate_rk4(dyn, u, prob.A, 60)
+        counted, calls = _counting(dyn)
+        ex = hamiltonian_profile(prob, ap, traj, u, counted)
+        # One velocity call, and three Jacobians (2 d phi calls each by differences).
+        assert calls == ({"phi": 1 + 6 * prob.d, "jac_z": 0} if fd else {"phi": 1, "jac_z": 3})
+        shortfall = certificate._hmax_shortfall(prob, ap, traj, ex, counted)
+        assert calls["phi"] == 1 + (6 * prob.d if fd else 0) + np.count_nonzero(ex.off_breakpoint)
+        costates, jacobians = _per_sample_backward_adjoint(dyn, traj, ap.p_hat)
+        reference = _per_input_hmax_shortfall(prob, ap, traj, ex, dyn)
+        assert reference > 0.0
+        if fd:  # differences amplify the rounding of stacked products
+            assert np.abs(ex.costates - costates).max() <= 1e-9
+            assert np.abs(ex.jacobians - jacobians).max() <= 1e-9
+            assert abs(shortfall - reference) <= 1e-9
+        else:
+            assert np.array_equal(ex.costates, costates) and np.array_equal(ex.jacobians, jacobians)
+            assert shortfall == reference
+
+    @pytest.mark.parametrize("fd", [False, True])
+    def test_certify_calls_outside_rk4(self, fd, ex2, ex2_control):
+        # One velocity call, three Jacobians and one call per kept sample
+        # (thinned to 301) beside RK4's four per step.
+        dyn = linear_dynamics(ex2)
+        counted, calls = _counting(replace(dyn, jac_z=None, affine_in_state=False) if fd else dyn)
+        sim.propagate_rk4(counted, ex2_control, ex2.A, 500)
+        rk4_calls, calls["phi"] = calls["phi"], 0
+        report = certify(ex2, 1, np.array([0.0, 1.0]), ex2_control, dynamics=counted, rk4_steps=500)
+        assert report.passed
+        assert calls == {"phi": rk4_calls + 302 + (12 if fd else 0), "jac_z": 0 if fd else 3}
+
+    def test_single_point_callback_raises(self):
+        prob, rest = _pendulum_problem(), PiecewiseConstantControl([0.0, 4.0], [[0.0]])
+        single = NonlinearDynamics(
+            d=2, m=1, phi=lambda z, u: np.array([z[1], -np.sin(z[0]) + u[0]]), jac_z=pendulum_jac
+        )
+        with pytest.raises(ValueError, match=r"phi must map z of shape \(\.\.\., d\)"):
+            certify(prob, 1, np.array([0.0, 0.5]), rest, dynamics=single, rk4_steps=100)
+        traj = sim.propagate_rk4(single, rest, prob.A, 100)
+        with pytest.raises(ValueError, match=r"phi must map z of shape \(\.\.\., d\)"):
+            check_hamiltonian_max(prob, AdjointParams(1, np.array([0.0, 0.5])), traj, rest, dynamics=single)
+
+    @pytest.mark.parametrize("d, m", [(3, 1), (1, 1), (2, 2)])
+    def test_dimensions_must_match_the_problem(self, d, m, ex2, ex2_control):
+        dyn = NonlinearDynamics(d=d, m=m, phi=lambda z, u: -z)
+        pattern = rf"\(d, m\) = \({d}, {m}\), the problem \(2, 1\)"
+        with pytest.raises(ValueError, match=pattern):
+            certify(ex2, 1, np.array([0.0, 1.0]), ex2_control, dynamics=dyn, rk4_steps=100)
+        traj = propagate_exact(ex2, ex2_control)
+        with pytest.raises(ValueError, match=pattern):
+            check_hamiltonian_max(ex2, AdjointParams(1, np.array([0.0, 1.0])), traj, ex2_control, dynamics=dyn)
+
+    def test_three_channel_box_matches_the_exact_gap(self):
+        # F = 0 makes RK4 and the backward pass exact and the costate
+        # constant; the capped box grid keeps every vertex and 0, where a
+        # Hamiltonian affine in u peaks.
+        rng = np.random.default_rng(29)
+        box = Box([-1.0, -0.5, -2.0], [0.5, 1.0, 1.5])
+        prob = Problem(F=np.zeros((3, 3)), G=rng.uniform(-1.0, 1.0, (3, 3)), a=0.0, b=3.0, A=np.zeros(3), B=np.zeros(3), U=box)
+        u = PiecewiseConstantControl([0.0, 1.0, 2.0, 3.0], [[0.5, 0.0, -2.0], [0.0, 0.0, 0.0], [-0.3, 1.0, 0.7]])
+        p_hat = rng.uniform(-1.0, 1.0, 3)
+        exact = certify(prob, 1, p_hat, u)
+        callback = certify(prob, 1, p_hat, u, dynamics=linear_dynamics(prob), rk4_steps=12)
+        assert exact.hmax_violation > 0.0
+        assert abs(callback.hmax_violation - exact.hmax_violation) <= 1e-9
 
 
 class TestCheckConstancy:
@@ -375,7 +530,7 @@ class TestCertify:
 
         f, g = ex2.F, ex2.G
         dyn = NonlinearDynamics(
-            d=2, m=1, phi=lambda z, u: f @ z + g @ np.atleast_1d(u), affine_in_state=False
+            d=2, m=1, phi=lambda z, u: z @ f.T + u @ g.T, affine_in_state=False
         )
         report = certify(ex2, 1, np.array([0.0, 1.0]), ex2_control, dynamics=dyn, rk4_steps=5000)
         assert report.passed
@@ -392,8 +547,8 @@ class TestCertify:
         pendulum = NonlinearDynamics(
             d=2,
             m=1,
-            phi=lambda z, u: np.array([z[1], -np.sin(z[0]) + u[0]]),
-            jac_z=lambda z, u: np.array([[0.0, 1.0], [-np.cos(z[0]), 0.0]]),
+            phi=pendulum_phi,
+            jac_z=pendulum_jac,
             affine_in_state=False,
         )
         prob = Problem(

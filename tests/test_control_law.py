@@ -1,6 +1,8 @@
 """Costate flow, switching function, and bang-off-bang selection rules,
 cross-checked against the brute-force Hamiltonian argmax."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -216,6 +218,20 @@ class TestBoxLaw:
                 single = bang_off_bang(box, s[i, j], eta)
                 assert single.gain == stacked.gain[i, j]
                 assert hamiltonian_gap(box, s[i, j], eta, u[j]) == gap[i, j]
+
+
+class TestInputGrid:
+    def test_box_axes_are_capped_keeping_vertices_and_zero(self):
+        # floor(1001^(2/m)) points per axis: about a million inputs at most.
+        for m, side in ((1, 10001), (2, 1001), (3, 100)):
+            box = Box(-np.arange(1.0, m + 1.0), 0.7 * np.arange(1.0, m + 1.0))
+            grid = _input_grid(box, m, 10001)
+            axes = [np.unique(grid[:, i]) for i in range(m)]
+            assert [ax.size for ax in axes] == [side + 1] * m  # the axis points and 0
+            assert grid.shape == ((side + 1) ** m, m)
+            for vertex in itertools.product(*zip(box.lower, box.upper)):
+                assert np.any(np.all(grid == vertex, axis=1))
+            assert np.any(np.all(grid == 0.0, axis=1))
 
 
 class TestBallLaw:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import random_control, random_problem
+from conftest import pendulum_jac, pendulum_phi, random_control, random_problem
 from handsoff.control_law import AdjointParams
 from handsoff.model import Box, PiecewiseConstantControl, Problem
 from handsoff.sim import (
@@ -160,7 +160,7 @@ class TestPropagateRk4:
 
 
 class TestJacobians:
-    PHI = staticmethod(lambda z, u: np.array([z[1], -np.sin(z[0]) + u[0]]))
+    PHI = staticmethod(pendulum_phi)
 
     def test_defect_zero_without_callback(self):
         dyn = NonlinearDynamics(d=2, m=1, phi=self.PHI)
@@ -171,12 +171,14 @@ class TestJacobians:
             d=2,
             m=1,
             phi=self.PHI,
-            jac_z=lambda z, u: np.array([[0.0, 1.0], [-np.cos(z[0]), 0.0]]),
+            jac_z=pendulum_jac,
         )
         assert dyn.jacobian_defect(np.array([0.3, -0.1]), np.array([0.2])) < 1e-6
 
     def test_wrong_callback_flagged(self):
-        dyn = NonlinearDynamics(d=2, m=1, phi=self.PHI, jac_z=lambda z, u: np.eye(2))
+        dyn = NonlinearDynamics(
+            d=2, m=1, phi=self.PHI, jac_z=lambda z, u: np.broadcast_to(np.eye(2), np.shape(z)[:-1] + (2, 2))
+        )
         assert dyn.jacobian_defect(np.array([0.3, -0.1]), np.array([0.2])) > 0.5
 
     def test_fd_fallback_matches_analytic(self):
@@ -184,6 +186,23 @@ class TestJacobians:
         got = dyn.jacobian(np.array([0.3, -0.1]), np.array([0.2]))
         want = np.array([[0.0, 1.0], [-np.cos(0.3), 0.0]])
         assert np.abs(got - want).max() < 1e-6
+
+    def test_stacked_points_match_single_points(self):
+        rng = np.random.default_rng(5)
+        z, u = rng.uniform(-1.0, 1.0, (4, 3, 2)), rng.uniform(-1.0, 1.0, (4, 3, 1))
+        for dyn in (NonlinearDynamics(d=2, m=1, phi=self.PHI), NonlinearDynamics(2, 1, self.PHI, pendulum_jac)):
+            got = dyn.jacobian(z, u)
+            assert got.shape == (4, 3, 2, 2)
+            for idx in np.ndindex(4, 3):
+                assert np.array_equal(got[idx], dyn.jacobian(z[idx], u[idx]))
+
+    def test_result_shape_outside_the_contract_raises(self):
+        z, u = np.zeros((5, 2)), np.zeros((5, 1))
+        single = NonlinearDynamics(d=2, m=1, phi=lambda z, u: np.zeros(2), jac_z=lambda z, u: np.eye(2))
+        with pytest.raises(ValueError, match=r"jac_z must map z of shape \(\.\.\., d\).*got \(2, 2\)"):
+            single.jacobian(z, u)
+        with pytest.raises(ValueError, match=r"phi must map z of shape \(\.\.\., d\).*got \(2,\)"):
+            NonlinearDynamics(d=2, m=1, phi=single.phi).jacobian(z, u)
 
 
 class TestEndpointResidual:
